@@ -32,7 +32,7 @@ from pyspark.sql import types as T
 
 from repro.core.pattern import Op, Pattern
 from repro.core.planner import PlannedPattern
-from .join_engine import _cross_conditions
+from .join_engine import _cross_conditions, _engine_conf
 
 _SCHEMA = T.StructType(
     [
@@ -116,19 +116,23 @@ def execute_order_plan_streaming(
             )
         )
         for c in _cross_conditions(pattern, bound, {i}, strategy):
-            cond = cond & c
+            cond = cond & F.expr(c)
         cur = cur.join(nxt, cond, "inner").drop(f"p{i}_wid")
         bound.add(i)
     out_cols = [f"p{i}_id" for i in sorted(bound)]
     name = f"cep_{uuid.uuid4().hex[:10]}"
-    query = (
-        cur.select(*out_cols)
-        .writeStream.format("memory")
-        .queryName(name)
-        .outputMode("append")
-        .trigger(availableNow=True)
-        .start()
-    )
+    # A streaming query keeps the shuffle-partition count it starts with,
+    # and every micro-batch runs one state-store partition per shuffle
+    # partition per join, so start it under the join engine's small count.
+    with _engine_conf(spark, 8):
+        query = (
+            cur.select(*out_cols)
+            .writeStream.format("memory")
+            .queryName(name)
+            .outputMode("append")
+            .trigger(availableNow=True)
+            .start()
+        )
     try:
         if not query.awaitTermination(timeout=timeout_s):
             raise TimeoutError("streaming query did not finish in time")

@@ -6,6 +6,7 @@ multi-way self-join, and ``repro.oracle.assert_equivalent`` diffs the
 sorted rows — so a wrong join condition, a misplaced negation, or a
 broken plan mapping fails loudly, not silently.
 """
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -185,6 +186,56 @@ class TestKleenePatterns:
         base_cols = [c for c in ref.columns if c != f"p{k}_id"]
         expected = int((2.0 ** ref.groupby(base_cols).size() - 1).sum())
         assert run.metrics.n_matches == expected
+
+    @pytest.mark.parametrize("m", [60, 1100])
+    def test_logical_count_is_exact_for_large_groups(self, spark, m):
+        """2^m − 1 in integers: a float sum is inexact past m ≈ 53 and
+        overflows past m ≈ 1023."""
+        n = m + 2
+        pdf = pd.DataFrame(
+            {
+                "event_id": np.arange(n),
+                "symbol": ["A"] + ["B"] * m + ["C"],
+                "ts": np.concatenate([[0.0], np.linspace(1.0, 50.0, m), [55.0]]),
+                "wid": np.zeros(n, dtype=np.int64),
+                "serial": np.arange(n),
+                "price": np.ones(n),
+                "diff": np.zeros(n),
+            }
+        )
+        p = seq(("A", "B", "C"), (), 60.0, kleene=(1,))
+        planned = plan_simple(p, {"A": 1.0, "B": float(m), "C": 1.0}, "TRIVIAL")
+        run = execute_planned(spark, spark.createDataFrame(pdf), planned)
+        assert run.metrics.n_matches == 2**m - 1
+
+
+class TestAbsentTypes:
+    """A pattern type absent from the stream yields zero matches."""
+
+    @pytest.mark.parametrize("source", ["cached", "in_memory"])
+    def test_order_plan(self, spark, events, events_pdf, stats, source):
+        """``in_memory`` is a small ``LocalRelation``: the optimizer can see
+        that the S99 leaf is empty before the plan runs. (It holds other
+        rows than the cached stream, which Spark would substitute.)"""
+        if source == "in_memory":
+            events_pdf = events_pdf[events_pdf["wid"] < 5]
+            events = spark.createDataFrame(events_pdf)
+        p = seq(("S00", "S99", "S01"), (), CFG.window)
+        rates = {"S99": 0.01, "S00": stats.rates["S00"], "S01": stats.rates["S01"]}
+        run = execute_planned(spark, events, plan_simple(p, rates, "TRIVIAL"))
+        assert run.metrics.n_matches == 0 and run.matches.count() == 0
+        n00, n01 = ((events_pdf["symbol"] == t).sum() for t in ("S00", "S01"))
+        # Observed stages S00, S00·S99, S00·S99·S01; then the S99, S01 buffers.
+        assert run.metrics.intermediate_counts == [n00, 0, 0, 0, n01]
+
+    def test_tree_plan(self, spark, events, stats):
+        p = seq(("S00", "S99", "S01"), (), CFG.window)
+        rates = {"S99": 0.01, "S00": stats.rates["S00"], "S01": stats.rates["S01"]}
+        run = execute_planned(spark, events, plan_simple(p, rates, "ZSTREAM"))
+        m = run.metrics
+        assert m.n_matches == 0 and run.matches.count() == 0
+        assert m.intermediate_counts[-1] == 0  # the root, post-order last
+        assert 0 < m.intermediate_counts.count(0) < len(m.intermediate_counts)
 
 
 class TestDisjunctionPatterns:
