@@ -1,12 +1,13 @@
 """CEP evaluation mechanisms (the paper's detection substrate).
 
 - :mod:`repro.cep.join_engine` — evaluation plans executed as Spark
-  DataFrame window-join dataflows (order-based plans → left-deep join
-  chains; tree-based plans → bushy join trees).
+  DataFrame window-join dataflows by one executor: a tree-based plan runs
+  as its join tree, an order-based plan as its left-deep tree.
 - :mod:`repro.cep.detectors` — pure-Python event-at-a-time detectors
   (lazy NFA §2.2 and instance trees §2.3) with selection strategies.
 - :mod:`repro.cep.event_engine` — the detectors parallelized across time
   windows with ``applyInPandas``.
 - :mod:`repro.cep.streaming` — Structured Streaming execution of an
-  order-based plan via chained stream-stream joins.
+  order-based plan via chained stream-stream joins over the join engine's
+  leaves.
 """

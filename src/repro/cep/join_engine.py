@@ -1,12 +1,14 @@
 """CEP plan execution as Spark DataFrame window-join dataflows.
 
-This is the reproduction's primary evaluation mechanism (DESIGN.md §2):
-
-- an **order-based plan** runs as a left-deep chain of joins — exactly
-  the paper's lazy-NFA semantics, where the k-th intermediate result *is*
-  the set of partial matches of length k (§4.1);
-- a **tree-based plan** runs as a bushy join tree — ZStream's instance
-  buffers materialized as per-node DataFrames (§4.2).
+This is the reproduction's primary evaluation mechanism (DESIGN.md §2).
+One executor runs every plan as a tree of joins. A **tree-based plan**
+runs as its bushy join tree, ZStream's instance buffers as per-node
+DataFrames (§4.2). An **order-based plan** runs as its left-deep tree
+(Theorem 1: ``Cost_ord = Cost_LDJ``), whose k-th join *is* the set of
+partial matches of length k of the lazy NFA (§4.1). Only the reporting
+differs by plan kind: the layout of the stage counts (an order plan
+reports the raw buffers of its later types, as a lazy NFA keeps them) and
+the §6.1 latency surrogate.
 
 Detection semantics (DESIGN.md §3): matches are event combinations
 sharing a tumbling window id, every pattern predicate (declared, implied
@@ -47,7 +49,7 @@ from pyspark.sql import functions as F
 
 from repro.core.pattern import Op, Pattern, Predicate
 from repro.core.planner import PlannedPattern
-from repro.core.plans import TreeNode
+from repro.core.plans import TreeNode, left_deep_tree
 from repro.core.transformations import negation_dependencies
 from .metrics import ExecutionMetrics
 
@@ -203,27 +205,22 @@ def _apply_negations(
     return cur
 
 
-def _observed(df: DataFrame, counts: list[int | Observation]) -> DataFrame:
-    """``df`` with its row count observed; the count is appended to
-    ``counts`` and can be read once the plan's action has run."""
+def _observed(df: DataFrame) -> tuple[DataFrame, Observation]:
+    """``df`` with its row count observed; read it once the plan's action
+    has run."""
     obs = Observation()
-    counts.append(obs)
-    return df.observe(obs, F.expr("count(1) AS n"))
+    return df.observe(obs, F.expr("count(1) AS n")), obs
 
 
-def _read_counts(counts: list[int | Observation]) -> list[int]:
-    return [c if isinstance(c, int) else int(c.get["n"]) for c in counts]
-
-
-def _finalize(cur: DataFrame, pattern: Pattern, kl_positions: list[int]) -> tuple[DataFrame, int]:
+def _finalize(cur: DataFrame, pattern: Pattern) -> tuple[DataFrame, int]:
     """Project match ids and run the plan's one Spark action, which yields
     the logical match count. A Kleene position's power set is folded
     exactly: Σ over base combinations of 2^m − 1, in Python integers."""
     base = [i for i in pattern.positive() if i not in pattern.kleene]
     id_cols = [f"p{i}_id" for i in base]
-    if not kl_positions:
+    if not pattern.kleene:
         return cur.select(*id_cols), cur.count()
-    (k,) = kl_positions
+    (k,) = pattern.kleene
     grouped = cur.groupBy(*id_cols).agg(
         F.expr(f"sort_array(collect_list(p{k}_id)) AS kl_ids"),
         F.expr("count(1) AS _m"),
@@ -245,150 +242,100 @@ def _measured_window_counts(events: DataFrame) -> tuple[dict[str, float], int, i
     return per_window, sum(per_symbol.values()), n_windows
 
 
-def execute_order_plan(
-    spark: SparkSession,
+def _buffer(per_window: dict[str, float], n_windows: int, symbol: str) -> int:
+    """A type's measured event count; a type absent from the stream has none."""
+    return int(round(per_window.get(symbol, 0.0) * n_windows))
+
+
+def _build(
     events: DataFrame,
     planned: PlannedPattern,
-    *,
-    strategy: str = "any",
-    shuffle_partitions: int = 8,
-    measured: tuple[dict[str, float], int, int] | None = None,
-) -> JoinExecution:
-    """Run an order-based plan as a left-deep chain of window joins."""
-    if strategy not in ("any", "contiguity"):
-        raise ValueError(
-            "join engine supports 'any' and 'contiguity'; use the event "
-            "engine for skip-till-next-match"
-        )
-    pattern, stats, plan = planned.pattern, planned.stats, planned.order_plan
-    if plan is None:
-        raise ValueError("planned pattern carries no order plan")
-    pos_sequence = [stats.positions[k] for k in plan.order]
-    kl_positions = sorted(pattern.kleene)
+    root: TreeNode,
+    strategy: str,
+    per_window: dict[str, float],
+    n_windows: int,
+) -> tuple[DataFrame, dict[int, int | Observation]]:
+    """The plan tree as one lazy DataFrame chain of window joins, and the
+    size of every node by mask, in post-order. A leaf built while no
+    negation is left to place has its measured buffer as size; every other
+    node has an observed count, filled in by the chain's action."""
+    pattern, stats = planned.pattern, planned.stats
     pending = dict(negation_dependencies(pattern))
-
-    with _engine_conf(spark, shuffle_partitions):
-        per_window, n_events, n_windows = measured or _measured_window_counts(events)
-        t0 = time.perf_counter()
-        observed: list[int | Observation] = []
-        first = pos_sequence[0]
-        cur = _position_df(events, pattern, first).withColumnRenamed(f"p{first}_wid", "wid")
-        bound = {first}
-        cur = _observed(_apply_negations(cur, events, pattern, bound, pending), observed)
-        for i in pos_sequence[1:]:
-            conds = [f"wid = p{i}_wid", *_cross_conditions(pattern, bound, {i}, strategy)]
-            cur = _hash_join(cur, _position_df(events, pattern, i), conds, "inner")
-            bound.add(i)
-            cur = _apply_negations(cur.drop(f"p{i}_wid"), events, pattern, bound, pending)
-            cur = _observed(cur, observed)
-        matches, n_matches = _finalize(cur, pattern, kl_positions)
-        counts = _read_counts(observed)
-        wall = time.perf_counter() - t0
-
-    # §6.1 latency surrogate: buffered events of types succeeding T_n in
-    # the executed order, measured per window. A type absent from the
-    # stream buffers nothing.
-    latency = 0.0
-    if pattern.op is Op.SEQ:
-        last_pos = stats.positions[stats.last_seq_position]
-        idx = pos_sequence.index(last_pos)
-        latency = float(
-            sum(per_window.get(pattern.types[i], 0.0) for i in pos_sequence[idx + 1 :])
-        )
-    # Memory proxy: partial matches per stage + per-type event buffers.
-    buffers = [
-        int(round(per_window.get(pattern.types[i], 0.0) * n_windows))
-        for i in pos_sequence
-    ]
-    metrics = ExecutionMetrics(
-        strategy=strategy,
-        n_events=n_events,
-        n_windows=n_windows,
-        intermediate_counts=counts + buffers[1:],
-        n_matches=n_matches,
-        wall_seconds=wall,
-        latency_surrogate=latency,
-    )
-    return JoinExecution(matches=matches, metrics=metrics)
-
-
-def execute_tree_plan(
-    spark: SparkSession,
-    events: DataFrame,
-    planned: PlannedPattern,
-    *,
-    strategy: str = "any",
-    shuffle_partitions: int = 8,
-    measured: tuple[dict[str, float], int, int] | None = None,
-) -> JoinExecution:
-    """Run a tree-based plan as a bushy tree of window joins."""
-    if strategy not in ("any", "contiguity"):
-        raise ValueError(
-            "join engine supports 'any' and 'contiguity'; use the event "
-            "engine for skip-till-next-match"
-        )
-    pattern, stats, plan = planned.pattern, planned.stats, planned.tree_plan
-    if plan is None:
-        raise ValueError("planned pattern carries no tree plan")
-    kl_positions = sorted(pattern.kleene)
-    pending = dict(negation_dependencies(pattern))
-    # Per node, in post-order: a measured leaf size or an observed count.
-    observed: list[int | Observation] = []
-    node_index: dict[int, int] = {}
+    sizes: dict[int, int | Observation] = {}
 
     def build(node: TreeNode) -> tuple[DataFrame, set[int], str]:
         """Returns (df, bound pattern positions, wid anchor column)."""
         if node.is_leaf():
             i = stats.positions[node.leaf]
-            df = _position_df(events, pattern, i)
-            bound = {i}
-            anchor = f"p{i}_wid"
+            df, bound, anchor = _position_df(events, pattern, i), {i}, f"p{i}_wid"
             if not pending:
-                # Leaf buffers: their sizes are per-type event counts,
-                # already measured — nothing to observe.
-                node_index[node.mask] = len(observed)
-                observed.append(int(round(per_window.get(pattern.types[i], 0.0) * n_windows)))
+                sizes[node.mask] = _buffer(per_window, n_windows, pattern.types[i])
                 return df, bound, anchor
         else:
-            ldf, lpos, lanchor = build(node.left)
+            ldf, lpos, anchor = build(node.left)
             rdf, rpos, ranchor = build(node.right)
-            conds = [f"{lanchor} = {ranchor}", *_cross_conditions(pattern, lpos, rpos, strategy)]
-            df = _hash_join(ldf, rdf, conds, "inner").drop(ranchor)
-            bound = lpos | rpos
-            anchor = lanchor
+            conds = [f"{anchor} = {ranchor}", *_cross_conditions(pattern, lpos, rpos, strategy)]
+            df, bound = _hash_join(ldf, rdf, conds, "inner").drop(ranchor), lpos | rpos
         df = _apply_negations(df, events, pattern, bound, pending, wid=anchor)
-        node_index[node.mask] = len(observed)
-        return _observed(df, observed), bound, anchor
+        df, sizes[node.mask] = _observed(df)
+        return df, bound, anchor
 
-    with _engine_conf(spark, shuffle_partitions):
-        per_window, n_events, n_windows = measured or _measured_window_counts(events)
-        t0 = time.perf_counter()
-        root_df, _, _ = build(plan.root)
-        matches, n_matches = _finalize(root_df, pattern, kl_positions)
-        counts = _read_counts(observed)
-        wall = time.perf_counter() - t0
+    return build(root)[0], sizes
 
-    # §6.1 latency surrogate for trees: measured partial matches buffered
-    # on the siblings of T_n's ancestors.
+
+def _order_report(
+    planned: PlannedPattern,
+    root: TreeNode,
+    sizes: dict[int, int],
+    per_window: dict[str, float],
+    n_windows: int,
+) -> tuple[list[int], float]:
+    """An order plan's (intermediate counts, latency surrogate).
+
+    Counts are the first stage, the joins in order, then the raw buffers
+    of the remaining types: a lazy NFA buffers every event of a type, so a
+    negation checked on that type alone does not shrink its buffer. The
+    §6.1 latency is ``Cost^lat_ord`` measured: the per-window buffers of
+    the types succeeding T_n in the executed order.
+    """
+    pattern, stats = planned.pattern, planned.stats
+    leaves = root.leaves_in_order()
+    pos_sequence = [stats.positions[k] for k in leaves]
+    joins = [sizes[n.mask] for n in root.nodes() if not n.is_leaf()]
+    buffers = [_buffer(per_window, n_windows, pattern.types[i]) for i in pos_sequence[1:]]
+    latency = 0.0
+    if pattern.op is Op.SEQ:
+        idx = pos_sequence.index(stats.positions[stats.last_seq_position])
+        latency = float(
+            sum(per_window.get(pattern.types[i], 0.0) for i in pos_sequence[idx + 1 :])
+        )
+    return [sizes[1 << leaves[0]], *joins, *buffers], latency
+
+
+def _tree_report(
+    planned: PlannedPattern,
+    root: TreeNode,
+    sizes: dict[int, int],
+    per_window: dict[str, float],
+    n_windows: int,
+) -> tuple[list[int], float]:
+    """A tree plan's (intermediate counts, latency surrogate).
+
+    Counts are every node's size in post-order. The §6.1 latency is
+    ``Cost^lat_tree`` measured: the partial matches buffered on the
+    siblings of T_n's ancestors, per window.
+    """
+    pattern, stats = planned.pattern, planned.stats
     latency = 0.0
     if pattern.op is Op.SEQ:
         last_bit = 1 << stats.last_seq_position
-        node = plan.root
+        node = root
         while not node.is_leaf():
             sib = node.right if node.left.mask & last_bit else node.left
-            latency += counts[node_index[sib.mask]]
+            latency += sizes[sib.mask]
             node = node.left if node.left.mask & last_bit else node.right
         latency /= max(n_windows, 1)
-    metrics = ExecutionMetrics(
-        strategy=strategy,
-        n_events=n_events,
-        n_windows=n_windows,
-        intermediate_counts=counts,
-        n_matches=n_matches,
-        wall_seconds=wall,
-        latency_surrogate=latency,
-    )
-    return JoinExecution(matches=matches, metrics=metrics)
+    return list(sizes.values()), latency
 
 
 def execute_planned(
@@ -400,21 +347,41 @@ def execute_planned(
     shuffle_partitions: int = 8,
     measured: tuple[dict[str, float], int, int] | None = None,
 ) -> JoinExecution:
-    """Dispatch to the order- or tree-plan executor.
+    """Run a plan as a tree of window joins; an order plan runs as its
+    left-deep tree (Theorem 1).
 
     ``measured`` optionally carries precomputed
     :func:`_measured_window_counts` output so batch harnesses running many
-    plans over one cached stream skip the two measurement actions.
+    plans over one cached stream skip the measurement action.
     """
-    fn = execute_order_plan if planned.order_plan is not None else execute_tree_plan
-    return fn(
-        spark,
-        events,
-        planned,
+    if strategy not in ("any", "contiguity"):
+        raise ValueError(
+            "join engine supports 'any' and 'contiguity'; use the event "
+            "engine for skip-till-next-match"
+        )
+    if planned.order_plan is not None:
+        root, report = left_deep_tree(planned.order_plan.order).root, _order_report
+    else:
+        root, report = planned.tree_plan.root, _tree_report
+    with _engine_conf(spark, shuffle_partitions):
+        per_window, n_events, n_windows = measured or _measured_window_counts(events)
+        t0 = time.perf_counter()
+        cur, observed = _build(events, planned, root, strategy, per_window, n_windows)
+        matches, n_matches = _finalize(cur, planned.pattern)
+        sizes = {m: c if isinstance(c, int) else int(c.get["n"]) for m, c in observed.items()}
+        wall = time.perf_counter() - t0
+
+    counts, latency = report(planned, root, sizes, per_window, n_windows)
+    metrics = ExecutionMetrics(
         strategy=strategy,
-        shuffle_partitions=shuffle_partitions,
-        measured=measured,
+        n_events=n_events,
+        n_windows=n_windows,
+        intermediate_counts=counts,
+        n_matches=n_matches,
+        wall_seconds=wall,
+        latency_surrogate=latency,
     )
+    return JoinExecution(matches=matches, metrics=metrics)
 
 
 def execute_pattern(

@@ -6,8 +6,8 @@ Spark Structured Streaming stream-stream joins:
 
 - the event stream is staged as time-sliced parquet files and replayed
   with ``maxFilesPerTrigger=1`` (a deterministic file-source stream);
-- each pattern position becomes a filtered sub-stream with an event-time
-  column and a watermark of one window;
+- each pattern position becomes the join engine's leaf over the stream,
+  with an event-time column and a watermark of one window;
 - the plan's join chain becomes chained stream-stream inner joins keyed
   on the tumbling window id with the pattern predicates attached — the
   optimized join *ordering* is preserved;
@@ -32,7 +32,7 @@ from pyspark.sql import types as T
 
 from repro.core.pattern import Op, Pattern
 from repro.core.planner import PlannedPattern
-from .join_engine import _cross_conditions, _engine_conf
+from .join_engine import _cross_conditions, _engine_conf, _position_df
 
 _SCHEMA = T.StructType(
     [
@@ -62,19 +62,13 @@ def stage_stream(events_pdf: pd.DataFrame, directory: str, n_slices: int = 6) ->
 def _position_stream(
     stream: DataFrame, pattern: Pattern, i: int, window: float
 ) -> DataFrame:
-    """Position ``i``'s filtered sub-stream with event-time + watermark."""
-    et = F.timestamp_seconds(F.col("ts"))
+    """The join engine's leaf for position ``i``, plus event time and a
+    watermark of one window."""
+    et = f"p{i}_et"
     return (
-        stream.filter(F.col("symbol") == pattern.types[i])
-        .select(
-            F.col("wid").alias(f"p{i}_wid"),
-            F.col("event_id").alias(f"p{i}_id"),
-            F.col("ts").alias(f"p{i}_ts"),
-            F.col("serial").alias(f"p{i}_serial"),
-            F.col("diff").alias(f"p{i}_diff"),
-            et.alias(f"p{i}_et"),
-        )
-        .withWatermark(f"p{i}_et", f"{int(window) + 1} seconds")
+        _position_df(stream, pattern, i)
+        .withColumn(et, F.timestamp_seconds(F.col(f"p{i}_ts")))
+        .withWatermark(et, f"{int(window) + 1} seconds")
     )
 
 
@@ -102,6 +96,9 @@ def execute_order_plan_streaming(
         .option("maxFilesPerTrigger", 1)
         .parquet(input_dir)
     )
+    # The chain is built here, not by the join engine's builder: an
+    # ``Observation`` cannot observe a streaming Dataset, and stream-stream
+    # joins take no ``shuffle_hash`` hints.
     first = pos_sequence[0]
     cur = _position_stream(stream, pattern, first, pattern.window)
     bound = {first}

@@ -80,20 +80,25 @@ def cost_tree(plan: TreePlan, stats: PatternStats) -> float:
     order- and tree-based models treat filters identically) and
     ``PM(in) = PM(L)·PM(R)·SEL_LR(in)``.
     """
-    pm: dict[int, float] = {}
     total = 0.0
+    for v in _tree_pm(plan, stats).values():
+        total += v
+    return total
+
+
+def _tree_pm(plan: TreePlan, stats: PatternStats) -> dict[int, float]:
+    """PM(N) of every node of ``plan`` by mask, in post-order."""
+    pm: dict[int, float] = {}
     for node in plan.root.nodes():
         if node.is_leaf():
-            v = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
+            pm[node.mask] = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
         else:
-            v = (
+            pm[node.mask] = (
                 pm[node.left.mask]
                 * pm[node.right.mask]
                 * stats.combine_factor(node.left.mask, node.right.mask)
             )
-        pm[node.mask] = v
-        total += v
-    return total
+    return pm
 
 
 def cost_bj(plan: TreePlan, stats: PatternStats) -> float:
@@ -149,16 +154,7 @@ def cost_tree_lat(plan: TreePlan, stats: PatternStats) -> float:
     last = stats.last_seq_position
     if last is None:
         return 0.0
-    pm: dict[int, float] = {}
-    for node in plan.root.nodes():
-        if node.is_leaf():
-            pm[node.mask] = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
-        else:
-            pm[node.mask] = (
-                pm[node.left.mask]
-                * pm[node.right.mask]
-                * stats.combine_factor(node.left.mask, node.right.mask)
-            )
+    pm = _tree_pm(plan, stats)
     bit = 1 << last
     total = 0.0
     node = plan.root

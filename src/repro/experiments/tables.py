@@ -22,7 +22,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.cep.event_engine import run_metrics
-from repro.cep.join_engine import execute_pattern
+from repro.cep.join_engine import _measured_window_counts, execute_pattern
 from repro.core.cost_model import Objective
 from repro.core.order_algorithms import ORDER_ALGORITHMS, ii_random
 from repro.core.pattern import Op, Pattern
@@ -82,14 +82,9 @@ class Workbench:
             self.events_pdf, self.cfg.stream.duration, seed=self.cfg.seed
         )
         self.events = self.spark.createDataFrame(self.events_pdf).persist()
-        self.events.count()
-        # Precompute the stream measurements once for every run_join call.
-        n_windows = int(self.events_pdf["wid"].nunique())
-        per_window = {
-            s: c / n_windows
-            for s, c in self.events_pdf["symbol"].value_counts().items()
-        }
-        self.measured = (per_window, len(self.events_pdf), n_windows)
+        # One action both fills the cache and measures the stream for
+        # every run_join call.
+        self.measured = _measured_window_counts(self.events)
 
     def close(self) -> None:
         self.events.unpersist()

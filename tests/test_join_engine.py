@@ -6,6 +6,8 @@ multi-way self-join, and ``repro.oracle.assert_equivalent`` diffs the
 sorted rows — so a wrong join condition, a misplaced negation, or a
 broken plan mapping fails loudly, not silently.
 """
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -14,6 +16,7 @@ from pyspark.sql import functions as F
 from repro.cep.join_engine import execute_pattern, execute_planned
 from repro.core.pattern import Predicate, conj, disj, seq
 from repro.core.planner import plan_pattern, plan_simple
+from repro.core.plans import OrderPlan
 from repro.oracle import assert_equivalent
 from repro.streams.estimation import estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf
@@ -147,17 +150,27 @@ class TestNegationPatterns:
         ).metrics.n_matches
         assert n_neg <= n_pos
 
+    @staticmethod
+    def check_edge_negation(spark, events, events_pdf, stats, p, expected):
+        """Both orders of the two positive positions match the oracle. The
+        order plan reports its first stage, its join, then the raw buffer
+        of the second type (a lazy NFA buffers every event), so a negation
+        checked on the second type alone does not shrink its buffer."""
+        base = plan_simple(p, stats.rates_for(p.types), "DP-LD")
+        for order, counts in expected.items():
+            run = execute_planned(spark, events, replace(base, order_plan=OrderPlan(order)))
+            assert_equivalent(run.matches, pattern_sql(p), ev=events_pdf)
+            assert run.metrics.intermediate_counts == counts, order
+
     def test_negated_first_position(self, spark, events, events_pdf, stats):
         p = seq(("S01", "S02", "S03"), (), CFG.window, negated=(0,))
-        check_against_oracle(
-            spark, events, events_pdf, p, "DP-LD", rates=stats.rates_for(p.types)
-        )
+        expected = {(0, 1): [16, 58, 32], (1, 0): [32, 58, 172]}
+        self.check_edge_negation(spark, events, events_pdf, stats, p, expected)
 
     def test_negated_last_position(self, spark, events, events_pdf, stats):
         p = seq(("S01", "S02", "S03"), (), CFG.window, negated=(2,))
-        check_against_oracle(
-            spark, events, events_pdf, p, "DP-LD", rates=stats.rates_for(p.types)
-        )
+        expected = {(0, 1): [149, 469, 172], (1, 0): [57, 469, 149]}
+        self.check_edge_negation(spark, events, events_pdf, stats, p, expected)
 
 
 class TestKleenePatterns:
@@ -295,6 +308,16 @@ class TestMetrics:
         rates = stats.rates_for(p.types)
         run = execute_planned(spark, events, plan_simple(p, rates, "TRIVIAL"))
         assert run.metrics.latency_surrogate == 0.0
+
+    def test_latency_surrogate_per_plan_kind(self, spark, events, stats):
+        """§6.1 measured: ``Cost^lat_ord`` sums the per-window buffers of
+        the types the order places after T_n; ``Cost^lat_tree`` sums the
+        per-window sizes of the siblings on T_n's path to the root."""
+        p = make_pattern("sequence", 4, stats, CFG.window, seed=40)
+        rates = rates_of(stats, p)
+        for algorithm, latency in (("DP-LD", 23.8), ("DP-B", 77.2)):
+            run = execute_planned(spark, events, plan_simple(p, rates, algorithm))
+            assert run.metrics.latency_surrogate == pytest.approx(latency), algorithm
 
     def test_next_strategy_rejected(self, spark, events, stats):
         p = seq(("S00", "S01"), (), CFG.window)
