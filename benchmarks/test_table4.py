@@ -13,7 +13,7 @@ def test_table4_large_plans(benchmark):
     out = {}
 
     def run():
-        out["result"] = table4(None, cfg, sizes=(3, 6, 9, 12, 14, 16), per_size=2)
+        out["result"] = table4(None, cfg, sizes=(3, 6, 9, 12, 14, 16, 18), per_size=2)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     rows, text = out["result"]
@@ -28,3 +28,6 @@ def test_table4_large_plans(benchmark):
     # DP plans are never worse than the heuristics (normalized: higher=better)
     for size in (6, 9, 12):
         assert by[(size, "DP-LD")]["norm_cost"] >= by[(size, "GREEDY")]["norm_cost"] - 1e-9
+    # at n=18 DP-LD still plans, and no heuristic beats it
+    for alg in ("II-GREEDY", "GREEDY"):
+        assert by[(18, "DP-LD")]["norm_cost"] >= by[(18, alg)]["norm_cost"] - 1e-9

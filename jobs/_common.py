@@ -35,7 +35,7 @@ def base_parser(description: str) -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="+", default=[3, 4, 5])
     p.add_argument("--per-size", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dp-ld-max-n", type=int, default=16)
+    p.add_argument("--dp-ld-max-n", type=int, default=22)
     p.add_argument("--dp-b-max-n", type=int, default=12)
     return p
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .plans import OrderPlan, TreePlan
 from .stats import PatternStats
 
@@ -235,12 +237,17 @@ class Objective:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         trivial = OrderPlan(tuple(range(self.stats.n)))
-        if self.strategy == "any":
-            self.trpt_ref = cost_ord(trivial, self.stats)
-        else:
-            self.trpt_ref = cost_ord_next(trivial, self.stats)
+        cost = cost_ord if self.strategy == "any" else cost_ord_next
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            self.trpt_ref = cost(trivial, self.stats)
+        if not math.isfinite(self.trpt_ref):
+            raise ValueError(
+                f"the trivial plan's cost over {self.stats.n} positions overflows "
+                f"a float ({self.trpt_ref}): the pattern's partial-match counts are "
+                "too large to plan"
+            )
         self.lat_ref = max(self.stats.total_count(), 1e-300)
-        self.trpt_ref = max(self.trpt_ref, 1e-300)
+        self.trpt_ref = float(max(self.trpt_ref, 1e-300))
 
     # -- decomposable pieces ------------------------------------------------
     def prefix_pm(self, mask: int) -> float:
@@ -255,14 +262,17 @@ class Objective:
             return self.stats.pm_of_mask(mask) / self.trpt_ref
         return next_match_pm(mask, self.stats) / self.trpt_ref
 
-    def lat_step(self, mask: int, t: int) -> float:
-        """α-weighted latency added by placing ``t`` after subset ``mask``."""
+    def lat_step(self, mask, t: int):
+        """α-weighted latency added by placing ``t`` after subset ``mask``.
+
+        ``mask`` may be an integer array: DP-LD places ``t`` after a whole
+        layer of subsets at once.
+        """
         last = self.stats.last_seq_position
         if self.alpha == 0.0 or last is None or t == last:
             return 0.0
-        if mask >> last & 1:
-            return self.alpha * self.stats.counts[t] / self.lat_ref
-        return 0.0
+        step = self.alpha * self.stats.counts[t] / self.lat_ref
+        return np.where(mask >> last & 1 == 1, step, 0.0)
 
     def lat_combine(self, mask_a: int, mask_b: int) -> float:
         """α-weighted latency added by a tree node joining two subtrees.
@@ -284,35 +294,54 @@ class Objective:
 
     # -- whole-plan evaluation ------------------------------------------------
     def order_cost(self, plan: OrderPlan) -> float:
-        """Full plan cost in O(n²) — incremental, so local search stays fast."""
+        """Full cost of one order plan: :meth:`order_costs` on a batch of one."""
+        return float(self.order_costs(np.array([plan.order]))[0])
+
+    def order_costs(self, orders: np.ndarray) -> np.ndarray:
+        """Full cost of each row of ``orders[B, n]``, one order plan per row.
+
+        Applies each float operation of the incremental recurrence over plan
+        positions k to all B plans at once, in the recurrence's order:
+        position k's factor ``sel[t,t]·sel[t_0,t]·…·sel[t_{k-1},t]``
+        (ascending j); ``selprod_k = selprod_{k-1}·f_k``, then ``/ k_seq``
+        at the k_seq-th sequence member in exact mode; the running count
+        product (or minimum); and ``total += lat_k`` then ``total += pm_k``,
+        summed left to right, where ``lat_k`` is :meth:`lat_step`'s term. A
+        plan's cost therefore does not depend on the batch it is in.
+        """
         st = self.stats
+        orders = np.asarray(orders)
+        n_plans, n = orders.shape
         sel = st.sel
-        exact = st.temporal_mode == "exact"
-        total = 0.0
-        mask = 0
-        members: list[int] = []
-        selprod = 1.0
-        countprod = 1.0
-        mincnt = math.inf
-        k_seq = 0
-        for t in plan.order:
-            total += self.lat_step(mask, t)
-            f = sel[t, t]
-            for i in members:
-                f *= sel[i, t]
-            selprod *= f
-            if exact and (st.seq_members >> t & 1):
-                k_seq += 1
-                selprod /= k_seq
-            countprod *= st.counts[t]
-            mincnt = min(mincnt, st.counts[t])
-            members.append(t)
-            mask |= 1 << t
-            if self.strategy == "any":
-                total += countprod * selprod / self.trpt_ref
-            else:
-                total += st.window * mincnt * selprod / self.trpt_ref
-        return total
+        selprod = sel[orders, orders]
+        for j in range(n - 1):
+            selprod[:, j + 1 :] *= sel[orders[:, j : j + 1], orders[:, j + 1 :]]
+        exact = st.temporal_mode == "exact" and st.seq_members
+        if exact:
+            is_seq = np.array([st.seq_members >> i & 1 for i in range(n)], dtype=bool)[orders]
+            # Dividing by 1 where the position is not a sequence member is exact.
+            k_seq = np.where(is_seq, np.cumsum(is_seq, axis=1), 1)
+            selprod[:, 0] /= k_seq[:, 0]
+        for k in range(1, n):
+            selprod[:, k] *= selprod[:, k - 1]
+            if exact:
+                selprod[:, k] /= k_seq[:, k]
+        counts = st.counts[orders]
+        if self.strategy == "any":
+            pm = np.multiply.accumulate(counts, axis=1) * selprod / self.trpt_ref
+        else:
+            pm = st.window * np.minimum.accumulate(counts, axis=1) * selprod / self.trpt_ref
+        terms = np.empty((n_plans, 2 * n))
+        terms[:, 1::2] = pm
+        last = st.last_seq_position
+        if self.alpha == 0.0 or last is None:
+            terms[:, 0::2] = 0.0
+        else:
+            # lat_step's rule without bitmasks, which overflow int64 past 63 positions.
+            is_last = orders == last
+            last_before = (np.cumsum(is_last, axis=1) - is_last).astype(bool)
+            terms[:, 0::2] = np.where(last_before, self.alpha * counts / self.lat_ref, 0.0)
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
     def tree_cost(self, plan: TreePlan) -> float:
         total = 0.0
@@ -326,10 +355,15 @@ class Objective:
 class SubsetTables:
     """Per-subset quantities for the dynamic-programming planners.
 
-    Precomputes, for every mask over the planning positions, the expected
-    partial-match count ``pm_any`` (§4.1/4.2) and the skip-till-next count
-    (§6.2), each in O(2ⁿ·n) total. DP-LD/DP-B then run in O(2ⁿ·n) /
-    O(3ⁿ) with O(1) per-subset cost lookups.
+    ``pm_any[mask]`` is the expected partial-match count (§4.1/4.2) and
+    ``pm_next[mask]`` the skip-till-next count (§6.2) of every subset of the
+    planning positions, as arrays of 2ⁿ floats. A mask is built from the
+    mask without its lowest bit b, so the masks are filled in groups of
+    one b, from b = n−1 down to 0, each group with vector operations:
+    ``f = sel[b,b]·Π_{i∈rest, ascending} sel[i,b]``, ``selprod = selprod[rest]·f``
+    (then ``/ k`` for the k-th sequence member in exact mode), ``countprod``
+    and ``mincnt`` likewise. O(2ⁿ) work in O(n) vector steps; DP-LD/DP-B
+    then look a subset's cost up in O(1).
     """
 
     def __init__(self, obj: Objective):
@@ -339,42 +373,52 @@ class SubsetTables:
             raise ValueError(f"subset tables infeasible for n={n}")
         self.obj = obj
         size = 1 << n
-        selprod = [1.0] * size
-        countprod = [1.0] * size
-        mincnt = [math.inf] * size
         sel = st.sel
         counts = st.counts
-        exact = st.temporal_mode == "exact"
-        seq = st.seq_members
-        for mask in range(1, size):
-            b = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << b)
-            f = sel[b, b]
-            r = rest
-            while r:
-                i = (r & -r).bit_length() - 1
-                f *= sel[i, b]
-                r ^= 1 << i
+        seq = st.seq_members if st.temporal_mode == "exact" else 0
+        if seq:
+            # k_seq[mask] = |mask ∩ seq|, built by doubling over the bits.
+            k_seq = np.zeros(1, dtype=np.uint8)
+            for i in range(n):
+                k_seq = np.concatenate([k_seq, k_seq + (seq >> i & 1)])
+        selprod = np.ones(size)
+        countprod = np.ones(size)
+        mincnt = np.full(size, math.inf)
+        for b in range(n - 1, -1, -1):
+            # The masks with lowest bit b are every[2^(b+1)] from 2^b; their
+            # rests (the bits above b) are every[2^(b+1)] from 0. Index r of
+            # both runs over the rests in order, so f[r] is built by
+            # doubling: the highest member's factor is the last multiplied.
+            f = np.array([sel[b, b]])
+            for i in range(b + 1, n):
+                f = np.concatenate([f, f * sel[i, b]])
+            rest = slice(0, size, 2 << b)
+            masks = slice(1 << b, size, 2 << b)
             sp = selprod[rest] * f
-            if exact and (seq >> b & 1):
-                sp /= (mask & seq).bit_count()
-            selprod[mask] = sp
-            countprod[mask] = countprod[rest] * counts[b]
-            mincnt[mask] = min(mincnt[rest], counts[b])
-        self.pm_any = [countprod[m] * selprod[m] for m in range(size)]
-        self.pm_next = [0.0] + [mincnt[m] * selprod[m] for m in range(1, size)]
+            if seq >> b & 1:
+                sp /= k_seq[masks]
+            selprod[masks] = sp
+            countprod[masks] = countprod[rest] * counts[b]
+            mincnt[masks] = np.minimum(mincnt[rest], counts[b])
+        countprod *= selprod
+        mincnt *= selprod
+        mincnt[0] = 0.0
+        self.pm_any = countprod
+        self.pm_next = mincnt
 
-    def prefix_pm(self, mask: int) -> float:
-        """Normalized order-plan prefix contribution for ``mask``."""
+    def prefix_pm(self, mask):
+        """Normalized order-plan prefix contribution for ``mask`` (an integer
+        or, for DP-LD's layers, an array of masks)."""
         if self.obj.strategy == "any":
             return self.pm_any[mask] / self.obj.trpt_ref
         return self.obj.stats.window * self.pm_next[mask] / self.obj.trpt_ref
 
     def node_pm(self, mask: int) -> float:
-        """Normalized tree-node contribution for ``mask``."""
+        """Normalized tree-node contribution for ``mask``, as a Python float
+        (the tree DPs add these in scalar loops)."""
         if self.obj.strategy == "any":
-            return self.pm_any[mask] / self.obj.trpt_ref
-        return self.pm_next[mask] / self.obj.trpt_ref
+            return float(self.pm_any[mask]) / self.obj.trpt_ref
+        return float(self.pm_next[mask]) / self.obj.trpt_ref
 
     def lat_combine(self, mask_a: int, mask_b: int) -> float:
         """O(1) version of :meth:`Objective.lat_combine` using the tables."""

@@ -20,10 +20,13 @@ come for free.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cost_model import Objective, SubsetTables
 from .plans import OrderPlan
@@ -101,18 +104,38 @@ def _neighbours(order: tuple[int, ...]):
                 yield tuple(nb2)
 
 
+@functools.cache
+def _moves(n: int) -> np.ndarray:
+    """:func:`_neighbours` of ``range(n)`` as an index table: row m is the
+    m-th neighbour of ``range(n)``, so ``order[_moves(n)]`` lists the
+    neighbours of any ``order`` in :func:`_neighbours`' order."""
+    return np.array(list(_neighbours(tuple(range(n)))), dtype=np.intp).reshape(-1, n)
+
+
 def _descend(obj: Objective, order: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
-    """Steepest-descent local search until a local minimum."""
+    """Steepest-descent local search until a local minimum.
+
+    Each step costs the whole swap/cycle neighbourhood in one
+    :meth:`Objective.order_costs` call, then scans the costs in neighbour
+    order and keeps a neighbour only if it beats the running best by the
+    relative tolerance below (so among near-ties the first one wins, which
+    an ``argmin`` would not guarantee).
+    """
+    moves = _moves(len(order))
+    current = np.array(order)
     cost = obj.order_cost(OrderPlan(order))
     while True:
-        best_nb, best_c = None, cost
-        for nb in _neighbours(order):
-            c = obj.order_cost(OrderPlan(nb))
+        nbs = current[moves]
+        costs = obj.order_costs(nbs)
+        best_i, best_c = -1, cost
+        # Only a neighbour that beats the current cost can beat the running best.
+        for i in np.flatnonzero((costs < cost - 1e-300) & (costs < cost * (1 - 1e-12))):
+            c = costs[i]
             if c < best_c - 1e-300 and c < best_c * (1 - 1e-12):
-                best_nb, best_c = nb, c
-        if best_nb is None:
-            return order, cost
-        order, cost = best_nb, best_c
+                best_i, best_c = i, c
+        if best_i < 0:
+            return tuple(current.tolist()), cost
+        current, cost = nbs[best_i], float(best_c)
 
 
 def ii_random(obj: Objective, seed: int = 0) -> PlanResult:
@@ -138,37 +161,46 @@ def dp_ld(obj: Objective) -> PlanResult:
     ``cost[S] = pm(S) + min_{t∈S} (cost[S∖t] + lat_step(S∖t, t))`` — valid
     because both throughput models depend on the member *set* only, and
     the latency term decomposes over placements after T_n (see
-    DESIGN.md). O(2ⁿ·n) time and space.
+    DESIGN.md). The subsets are processed one popcount layer at a time,
+    with vector operations over the layer: for t ascending, a running
+    strict-``<`` minimum, so the lowest t wins a tie. A mask without bit t
+    reads ``cost[S | t]`` of the next layer, still ∞, and never wins.
+    O(2ⁿ·n) time, O(2ⁿ) space.
     """
     t0 = time.perf_counter()
     n = obj.stats.n
     tables = SubsetTables(obj)
     size = 1 << n
-    cost = [math.inf] * size
-    choice = [-1] * size
+    cost = np.full(size, math.inf)
     cost[0] = 0.0
-    for mask in range(1, size):
-        pm = tables.prefix_pm(mask)
-        best, best_t = math.inf, -1
-        m = mask
-        while m:
-            t = (m & -m).bit_length() - 1
-            m ^= 1 << t
-            prev = mask ^ (1 << t)
-            c = cost[prev] + obj.lat_step(prev, t)
-            if c < best:
-                best, best_t = c, t
-        cost[mask] = best + pm
-        choice[mask] = best_t
+    choice = np.full(size, -1, dtype=np.int8)
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    by_layer = np.argsort(popcount, kind="stable")
+    ends = np.cumsum(np.bincount(popcount))
+    for p in range(1, n + 1):
+        layer = by_layer[ends[p - 1] : ends[p]]
+        best = np.full(len(layer), math.inf)
+        best_t = np.full(len(layer), -1, dtype=np.int8)
+        for t in range(n):
+            prev = layer ^ (1 << t)
+            c = cost[prev]
+            c += obj.lat_step(prev, t)
+            better = c < best
+            np.copyto(best, c, where=better)
+            np.copyto(best_t, t, where=better)
+        cost[layer] = best + tables.prefix_pm(layer)
+        choice[layer] = best_t
     order: list[int] = []
     mask = size - 1
     while mask:
-        t = choice[mask]
+        t = int(choice[mask])
         order.append(t)
         mask ^= 1 << t
     order.reverse()
     plan = OrderPlan(tuple(order))
-    return PlanResult(plan, cost[size - 1], time.perf_counter() - t0)
+    return PlanResult(plan, float(cost[size - 1]), time.perf_counter() - t0)
 
 
 ORDER_ALGORITHMS = {

@@ -53,7 +53,7 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = (3, 4, 5)
     per_size: int = 2
     algorithms: tuple[str, ...] = ORDER_ALGS + TREE_ALGS
-    dp_ld_max_n: int = 16
+    dp_ld_max_n: int = 22
     dp_b_max_n: int = 12
     seed: int = 0
 

@@ -318,6 +318,19 @@ class TestObjective:
             ) / obj.lat_ref
             assert obj.tree_cost(t) == pytest.approx(expected, rel=1e-9)
 
+    def test_hybrid_order_cost_beyond_64_positions(self):
+        # Plan positions past bit 63 of an int64 mask.
+        pat, rates = random_pattern(70, 11, op=Op.SEQ, window=1.0)
+        st = PatternStats.from_pattern(pat, rates, temporal_mode="exact")
+        obj = Objective(st, alpha=0.5)
+        g = np.random.default_rng(0)
+        for _ in range(5):
+            plan = OrderPlan(tuple(int(i) for i in g.permutation(70)))
+            expected = cm.cost_ord(plan, st) / obj.trpt_ref + 0.5 * cm.cost_ord_lat(
+                plan, st
+            ) / obj.lat_ref
+            assert obj.order_cost(plan) == pytest.approx(expected, rel=1e-9)
+
     def test_trivial_plan_normalizes_to_one(self):
         st = random_stats(5, 7, op=Op.SEQ, temporal_mode="exact")
         obj = Objective(st)

@@ -82,6 +82,16 @@ class TestOptimality:
             assert fn(obj).cost >= opt - 1e-9 * abs(opt)
         assert ii_random(obj, seed=seed).cost >= opt - 1e-9 * abs(opt)
 
+    def test_dp_ld_plans_22_positions(self):
+        # Fig 17's largest size: 2^22 subsets in the layered DP.
+        obj = Objective(
+            random_stats(22, 3, op=Op.SEQ, temporal_mode="exact"), alpha=0.5
+        )
+        res = dp_ld(obj)
+        assert sorted(res.plan.order) == list(range(22))
+        assert res.cost == pytest.approx(obj.order_cost(res.plan), rel=1e-9)
+        assert res.cost <= ii_greedy(obj).cost * (1 + 1e-9)
+
 
 class TestIterativeImprovement:
     @pytest.mark.parametrize("seed", range(6))

@@ -51,6 +51,15 @@ class TestPlanSimple:
         with pytest.raises(ValueError):
             plan_pattern(seq("AB", window=1.0), RATES, "NOPE")
 
+    @pytest.mark.parametrize("alg", sorted(ALGORITHM_KIND))
+    def test_overflowing_cost_is_a_clear_error(self, alg):
+        # 17 Kleene positions at W·r = 72: each count is capped at 2^64, and
+        # their product overflows a float before any plan is compared.
+        types = [f"T{i}" for i in range(17)]
+        p = conj(types, window=60, kleene=range(17))
+        with pytest.raises(ValueError, match="17 positions overflows a float"):
+            plan_pattern(p, {t: 1.2 for t in types}, alg)
+
 
 class TestPlanPattern:
     def test_simple_returns_single(self):

@@ -1,0 +1,126 @@
+"""Golden plans: every planner's plan and costs, pinned bit for bit.
+
+``planner_golden.json`` holds, for each case, one ``[plan, objective_cost,
+raw_cost]`` triple per subplan, with both costs as ``float.hex()``. The
+grid covers all 9 planners over four pattern categories, four sizes, both
+temporal modes, two selection strategies and two latency weights, plus
+the three order planners that ``planner_large`` times at n = 14 and 16.
+Any change to the planners or the cost model that reorders a float
+operation shows up here as a changed hex string.
+
+To rewrite the file from the current code (only after checking that a
+change of plans or costs is intended)::
+
+    PYTHONPATH=src python -m tests.test_planner_golden
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.pattern import Op
+from repro.core.planner import plan_pattern
+from repro.experiments.tables import ORDER_ALGS, TREE_ALGS
+from repro.streams.estimation import estimate
+from repro.streams.stock import StreamConfig, stock_events_pdf
+from repro.workloads.generator import make_pattern
+from tests.util import random_pattern
+
+GOLDEN = Path(__file__).with_name("planner_golden.json")
+
+CATEGORIES = ("sequence", "conjunction", "negation", "kleene")
+SIZES = (2, 5, 9, 11)
+LARGE_SIZES = (14, 16)
+LARGE_PLANNERS = ("DP-LD", "II-RANDOM", "II-GREEDY")
+
+
+def _grid_pattern(category: str, n: int):
+    """A random pattern with ``n`` planning positions (negated ones excluded)."""
+    seed = 7919 * CATEGORIES.index(category) + n
+    if category == "sequence":
+        return random_pattern(n, seed, op=Op.SEQ)
+    if category == "conjunction":
+        return random_pattern(n, seed, op=Op.AND)
+    if category == "negation":
+        return random_pattern(n + 1, seed, op=Op.SEQ, negated=(1,))
+    return random_pattern(n, seed, op=Op.SEQ, kleene=(n // 2,))
+
+
+def _large_patterns():
+    """``planner_large``'s sequence patterns at n = 14 and 16, with rates."""
+    cfg = StreamConfig(n_symbols=24)
+    stats = estimate(stock_events_pdf(cfg), cfg.duration, seed=0)
+    out = {}
+    for n in LARGE_SIZES:
+        p = make_pattern("sequence", n, stats, cfg.window, seed=997 * n)
+        out[n] = (p, {t: stats.rates[t] for t in p.types})
+    return out
+
+
+def _cases():
+    """(case id, pattern factory key, planner, strategy, temporal mode, α)."""
+    for category in CATEGORIES:
+        for n in SIZES:
+            for mode in ("exact", "pairwise"):
+                for strategy in ("any", "next"):
+                    for alpha in (0.0, 0.5):
+                        for planner in ORDER_ALGS + TREE_ALGS:
+                            yield (
+                                f"{category}/{n}/{mode}/{strategy}/{alpha}/{planner}",
+                                (category, n), planner, strategy, mode, alpha,
+                            )
+    for n in LARGE_SIZES:
+        for planner in LARGE_PLANNERS:
+            yield f"large/{n}/exact/any/0.0/{planner}", ("large", n), planner, "any", "exact", 0.0
+
+
+def _tree(node):
+    return node.leaf if node.is_leaf() else [_tree(node.left), _tree(node.right)]
+
+
+def _record(pattern, rates, planner, strategy, mode, alpha):
+    planned = plan_pattern(
+        pattern, rates, planner, alpha=alpha, strategy=strategy, temporal_mode=mode
+    )
+    return [
+        [
+            list(pp.order_plan.order) if pp.kind == "order" else _tree(pp.tree_plan.root),
+            pp.objective_cost.hex(),
+            pp.raw_cost.hex(),
+        ]
+        for pp in planned
+    ]
+
+
+def _compute() -> dict:
+    large = _large_patterns()
+    out = {}
+    for cid, (key, n), planner, strategy, mode, alpha in _cases():
+        pattern, rates = large[n] if key == "large" else _grid_pattern(key, n)
+        out[cid] = _record(pattern, rates, planner, strategy, mode, alpha)
+    return out
+
+
+@pytest.fixture(scope="module")
+def computed() -> dict:
+    return _compute()
+
+
+def test_grid_is_complete():
+    expected = json.loads(GOLDEN.read_text())
+    assert len(expected) == 4 * 4 * 2 * 2 * 2 * 9 + 2 * 3
+    assert sorted(expected) == sorted(cid for cid, *_ in _cases())
+
+
+@pytest.mark.parametrize("category", CATEGORIES + ("large",))
+def test_plans_and_costs_bit_identical(computed, category):
+    expected = json.loads(GOLDEN.read_text())
+    keys = [k for k in expected if k.startswith(category + "/")]
+    assert keys
+    diff = {k: (computed[k], expected[k]) for k in keys if computed[k] != expected[k]}
+    assert not diff, f"{len(diff)} of {len(keys)} cases changed, e.g. {next(iter(diff.items()))}"
+
+
+if __name__ == "__main__":
+    rows = sorted(_compute().items())
+    GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows) + "\n}\n")
