@@ -18,6 +18,19 @@ Implemented functions, with the paper's names:
   ``Cost^trpt + α·Cost^lat`` (§6.1) with the strategy-specific throughput
   model, normalized so α ∈ [0, 1] trades the two off on comparable scales
   (the paper leaves the mixing scale implicit; see DESIGN.md §5).
+
+Every partial-match count here comes from one recurrence,
+:meth:`PatternStats.prefix_pms`, in one of three shapes with the same
+float operations in the same order, so the three agree bit for bit:
+
+- scalar: ``prefix_pms(order)`` for one order plan (``cost_ord``,
+  ``cost_ord_next``), and ``pm_of_mask`` — the recurrence over a set's
+  members in ascending order — for tree nodes and single subsets;
+- a batch of order plans: :meth:`Objective.prefix_pm_rows` (Iterative
+  Improvement's neighbourhoods, :meth:`Objective.order_costs`);
+- every subset at once: :class:`SubsetTables` (the DP planners).
+
+``cost_ldj``/``cost_bj`` do not use it: they witness Theorems 1 and 2.
 """
 from __future__ import annotations
 
@@ -36,14 +49,7 @@ from .stats import PatternStats
 
 def cost_ord(plan: OrderPlan, stats: PatternStats) -> float:
     """Σ_k PM(k) — the order-based throughput cost (§4.1)."""
-    total = 0.0
-    pm = 1.0
-    mask = 0
-    for t in plan.order:
-        pm *= stats.extend_factor(mask, t)
-        mask |= 1 << t
-        total += pm
-    return total
+    return float(sum(stats.prefix_pms(plan.order)))
 
 
 def cost_ldj(plan: OrderPlan, stats: PatternStats) -> float:
@@ -80,27 +86,10 @@ def cost_tree(plan: TreePlan, stats: PatternStats) -> float:
 
     ``PM(leaf) = W·r_i`` (times the filter selectivity, folded in so the
     order- and tree-based models treat filters identically) and
-    ``PM(in) = PM(L)·PM(R)·SEL_LR(in)``.
+    ``PM(in) = PM(L)·PM(R)·SEL_LR(in)``, which is the PM of the node's leaf
+    set, summed over the nodes in post-order.
     """
-    total = 0.0
-    for v in _tree_pm(plan, stats).values():
-        total += v
-    return total
-
-
-def _tree_pm(plan: TreePlan, stats: PatternStats) -> dict[int, float]:
-    """PM(N) of every node of ``plan`` by mask, in post-order."""
-    pm: dict[int, float] = {}
-    for node in plan.root.nodes():
-        if node.is_leaf():
-            pm[node.mask] = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
-        else:
-            pm[node.mask] = (
-                pm[node.left.mask]
-                * pm[node.right.mask]
-                * stats.combine_factor(node.left.mask, node.right.mask)
-            )
-    return pm
+    return float(sum(stats.pm_of_mask(node.mask) for node in plan.root.nodes()))
 
 
 def cost_bj(plan: TreePlan, stats: PatternStats) -> float:
@@ -156,13 +145,12 @@ def cost_tree_lat(plan: TreePlan, stats: PatternStats) -> float:
     last = stats.last_seq_position
     if last is None:
         return 0.0
-    pm = _tree_pm(plan, stats)
     bit = 1 << last
     total = 0.0
     node = plan.root
     while not node.is_leaf():
         sibling = node.right if node.left.mask & bit else node.left
-        total += pm[sibling.mask]
+        total += stats.pm_of_mask(sibling.mask)
         node = node.left if node.left.mask & bit else node.right
     return total
 
@@ -172,36 +160,17 @@ def cost_tree_lat(plan: TreePlan, stats: PatternStats) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _selprod(mask: int, stats: PatternStats) -> float:
-    """Π of all selectivities (filters + pairs + temporal) inside mask."""
-    members = [i for i in range(stats.n) if mask >> i & 1]
-    v = 1.0
-    for a, i in enumerate(members):
-        v *= stats.sel[i, i]
-        for j in members[a + 1 :]:
-            v *= stats.sel[i, j]
-    return v * stats.temporal_factor(mask)
-
-
-def next_match_pm(mask: int, stats: PatternStats) -> float:
-    """``m[k] = W·min(r_{p_1..p_k}) · Π sel`` for the subset ``mask``."""
-    members = [i for i in range(stats.n) if mask >> i & 1]
-    return min(stats.counts[i] for i in members) * _selprod(mask, stats)
-
-
 def cost_ord_next(plan: OrderPlan, stats: PatternStats) -> float:
-    """``Cost^next_ord = Σ_k W·m[k]`` (§6.2, as written in the paper)."""
-    total = 0.0
-    mask = 0
-    for t in plan.order:
-        mask |= 1 << t
-        total += stats.window * next_match_pm(mask, stats)
-    return total
+    """``Cost^next_ord = Σ_k W·m[k]`` (§6.2, as written in the paper), where
+    ``m[k] = W·min(r_{p_1..p_k}) · Π sel`` is the next-match prefix PM."""
+    return float(sum(stats.window * m for m in stats.prefix_pms(plan.order, next_match=True)))
 
 
 def cost_tree_next(plan: TreePlan, stats: PatternStats) -> float:
     """``Cost^next_tree = Σ_N PM^next(N)`` (§6.2)."""
-    return float(sum(next_match_pm(node.mask, stats) for node in plan.root.nodes()))
+    return float(
+        sum(stats.pm_of_mask(node.mask, next_match=True) for node in plan.root.nodes())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +219,26 @@ class Objective:
         self.trpt_ref = float(max(self.trpt_ref, 1e-300))
 
     # -- decomposable pieces ------------------------------------------------
-    def prefix_pm(self, mask: int) -> float:
-        """Normalized throughput contribution of one subset/prefix/node."""
+    def _pm(self, mask, next_match: bool):
+        """Raw PM of the subset ``mask`` (:class:`SubsetTables` looks it up)."""
+        return self.stats.pm_of_mask(mask, next_match)
+
+    def _prefix_term(self, pm):
+        """Normalized throughput contribution of an order-plan prefix whose raw
+        PM (under this objective's strategy) is ``pm``."""
         if self.strategy == "any":
-            return self.stats.pm_of_mask(mask) / self.trpt_ref
-        return self.stats.window * next_match_pm(mask, self.stats) / self.trpt_ref
+            return pm / self.trpt_ref
+        return self.stats.window * pm / self.trpt_ref
+
+    def prefix_pm(self, mask):
+        """Normalized throughput contribution of one subset/prefix ``mask`` (an
+        integer or, from :class:`SubsetTables`, an array of masks)."""
+        return self._prefix_term(self._pm(mask, self.strategy != "any"))
 
     def node_pm(self, mask: int) -> float:
-        """Normalized throughput contribution of one tree node."""
-        if self.strategy == "any":
-            return self.stats.pm_of_mask(mask) / self.trpt_ref
-        return next_match_pm(mask, self.stats) / self.trpt_ref
+        """Normalized throughput contribution of one tree node, as a Python
+        float (the tree DPs add these in scalar loops)."""
+        return float(self._pm(mask, self.strategy != "any")) / self.trpt_ref
 
     def lat_step(self, mask, t: int):
         """α-weighted latency added by placing ``t`` after subset ``mask``.
@@ -290,49 +268,58 @@ class Objective:
             sib = mask_a
         else:
             return 0.0
-        return self.alpha * self.stats.pm_of_mask(sib) / self.lat_ref
+        return self.alpha * float(self._pm(sib, False)) / self.lat_ref
 
     # -- whole-plan evaluation ------------------------------------------------
     def order_cost(self, plan: OrderPlan) -> float:
         """Full cost of one order plan: :meth:`order_costs` on a batch of one."""
         return float(self.order_costs(np.array([plan.order]))[0])
 
-    def order_costs(self, orders: np.ndarray) -> np.ndarray:
-        """Full cost of each row of ``orders[B, n]``, one order plan per row.
+    def prefix_pm_rows(self, orders: np.ndarray) -> np.ndarray:
+        """Raw prefix PMs of each row of ``orders[B, n]``, one order plan per
+        row: :meth:`PatternStats.prefix_pms` under this objective's strategy,
+        batched.
 
-        Applies each float operation of the incremental recurrence over plan
-        positions k to all B plans at once, in the recurrence's order:
-        position k's factor ``sel[t,t]·sel[t_0,t]·…·sel[t_{k-1},t]``
-        (ascending j); ``selprod_k = selprod_{k-1}·f_k``, then ``/ k_seq``
-        at the k_seq-th sequence member in exact mode; the running count
-        product (or minimum); and ``total += lat_k`` then ``total += pm_k``,
-        summed left to right, where ``lat_k`` is :meth:`lat_step`'s term. A
-        plan's cost therefore does not depend on the batch it is in.
+        Each float operation of the recurrence is applied to all B plans at
+        once, in the recurrence's order: position k's factor
+        ``sel[t,t]·sel[t_0,t]·…·sel[t_{k-1},t]`` (ascending j);
+        ``selprod_k = selprod_{k-1}·f_k``, then ``/ k_seq`` at the k_seq-th
+        sequence member in exact mode; the running count product (or
+        minimum); ``PM_k = count_k·selprod_k``. Row b equals
+        ``prefix_pms(orders[b])`` bit for bit, whatever batch it is in.
         """
         st = self.stats
-        orders = np.asarray(orders)
-        n_plans, n = orders.shape
+        n = orders.shape[1]
         sel = st.sel
         selprod = sel[orders, orders]
         for j in range(n - 1):
             selprod[:, j + 1 :] *= sel[orders[:, j : j + 1], orders[:, j + 1 :]]
-        exact = st.temporal_mode == "exact" and st.seq_members
-        if exact:
-            is_seq = np.array([st.seq_members >> i & 1 for i in range(n)], dtype=bool)[orders]
+        seq = st.seq_members if st.temporal_mode == "exact" else 0
+        if seq:
+            is_seq = np.array([seq >> i & 1 for i in range(n)], dtype=bool)[orders]
             # Dividing by 1 where the position is not a sequence member is exact.
             k_seq = np.where(is_seq, np.cumsum(is_seq, axis=1), 1)
             selprod[:, 0] /= k_seq[:, 0]
         for k in range(1, n):
             selprod[:, k] *= selprod[:, k - 1]
-            if exact:
+            if seq:
                 selprod[:, k] /= k_seq[:, k]
-        counts = st.counts[orders]
-        if self.strategy == "any":
-            pm = np.multiply.accumulate(counts, axis=1) * selprod / self.trpt_ref
-        else:
-            pm = st.window * np.minimum.accumulate(counts, axis=1) * selprod / self.trpt_ref
+        accumulate = np.multiply.accumulate if self.strategy == "any" else np.minimum.accumulate
+        return accumulate(st.counts[orders], axis=1) * selprod
+
+    def order_costs(self, orders: np.ndarray) -> np.ndarray:
+        """Full cost of each row of ``orders[B, n]``, one order plan per row.
+
+        Normalizes :meth:`prefix_pm_rows` as :meth:`prefix_pm` does, then
+        sums ``lat_k`` and ``pm_k`` left to right, ``total += lat_k`` before
+        ``total += pm_k``, where ``lat_k`` is :meth:`lat_step`'s term. A
+        plan's cost therefore does not depend on the batch it is in.
+        """
+        st = self.stats
+        orders = np.asarray(orders)
+        n_plans, n = orders.shape
         terms = np.empty((n_plans, 2 * n))
-        terms[:, 1::2] = pm
+        terms[:, 1::2] = self._prefix_term(self.prefix_pm_rows(orders))
         last = st.last_seq_position
         if self.alpha == 0.0 or last is None:
             terms[:, 0::2] = 0.0
@@ -340,7 +327,7 @@ class Objective:
             # lat_step's rule without bitmasks, which overflow int64 past 63 positions.
             is_last = orders == last
             last_before = (np.cumsum(is_last, axis=1) - is_last).astype(bool)
-            terms[:, 0::2] = np.where(last_before, self.alpha * counts / self.lat_ref, 0.0)
+            terms[:, 0::2] = np.where(last_before, self.alpha * st.counts[orders] / self.lat_ref, 0.0)
         return np.add.accumulate(terms, axis=1)[:, -1]
 
     def tree_cost(self, plan: TreePlan) -> float:
@@ -352,18 +339,22 @@ class Objective:
         return total
 
 
-class SubsetTables:
-    """Per-subset quantities for the dynamic-programming planners.
+class SubsetTables(Objective):
+    """``obj`` with the PM of every subset precomputed, for the DP planners.
 
-    ``pm_any[mask]`` is the expected partial-match count (§4.1/4.2) and
-    ``pm_next[mask]`` the skip-till-next count (§6.2) of every subset of the
-    planning positions, as arrays of 2ⁿ floats. A mask is built from the
-    mask without its lowest bit b, so the masks are filled in groups of
-    one b, from b = n−1 down to 0, each group with vector operations:
-    ``f = sel[b,b]·Π_{i∈rest, ascending} sel[i,b]``, ``selprod = selprod[rest]·f``
-    (then ``/ k`` for the k-th sequence member in exact mode), ``countprod``
-    and ``mincnt`` likewise. O(2ⁿ) work in O(n) vector steps; DP-LD/DP-B
-    then look a subset's cost up in O(1).
+    ``pm_any[mask]`` and ``pm_next[mask]`` hold
+    :meth:`PatternStats.pm_of_mask` of every subset of the planning
+    positions (product and next-match form), as arrays of 2ⁿ floats, bit
+    for bit: a mask's entry is the entry of its rest (the mask without its
+    highest bit b) extended by b with the recurrence's operations. The
+    masks with highest bit b are the slice [2^b, 2^(b+1)) and their rests
+    the slice [0, 2^b), so the tables fill for b = 0 … n−1 in n vector
+    steps: ``f[r] = sel[b,b]·Π_{i∈r, ascending} sel[i,b]`` built by
+    doubling over i, ``selprod = selprod[r]·f`` (then ``/ k`` for the k-th
+    sequence member in exact mode), the count product (or minimum) likewise,
+    and ``PM = count·selprod``. Entry 0, the empty set, is unused. The
+    inherited :meth:`prefix_pm`, :meth:`node_pm` and :meth:`lat_combine`
+    then look a subset up in O(1).
     """
 
     def __init__(self, obj: Objective):
@@ -371,7 +362,7 @@ class SubsetTables:
         n = st.n
         if n > 24:
             raise ValueError(f"subset tables infeasible for n={n}")
-        self.obj = obj
+        super().__init__(st, obj.alpha, obj.strategy)
         size = 1 << n
         sel = st.sel
         counts = st.counts
@@ -384,53 +375,18 @@ class SubsetTables:
         selprod = np.ones(size)
         countprod = np.ones(size)
         mincnt = np.full(size, math.inf)
-        for b in range(n - 1, -1, -1):
-            # The masks with lowest bit b are every[2^(b+1)] from 2^b; their
-            # rests (the bits above b) are every[2^(b+1)] from 0. Index r of
-            # both runs over the rests in order, so f[r] is built by
-            # doubling: the highest member's factor is the last multiplied.
+        for b in range(n):
+            rest, masks = slice(0, 1 << b), slice(1 << b, 2 << b)
             f = np.array([sel[b, b]])
-            for i in range(b + 1, n):
+            for i in range(b):
                 f = np.concatenate([f, f * sel[i, b]])
-            rest = slice(0, size, 2 << b)
-            masks = slice(1 << b, size, 2 << b)
-            sp = selprod[rest] * f
+            selprod[masks] = selprod[rest] * f
             if seq >> b & 1:
-                sp /= k_seq[masks]
-            selprod[masks] = sp
+                selprod[masks] /= k_seq[masks]
             countprod[masks] = countprod[rest] * counts[b]
             mincnt[masks] = np.minimum(mincnt[rest], counts[b])
-        countprod *= selprod
-        mincnt *= selprod
-        mincnt[0] = 0.0
-        self.pm_any = countprod
-        self.pm_next = mincnt
+        self.pm_any = countprod * selprod
+        self.pm_next = mincnt * selprod
 
-    def prefix_pm(self, mask):
-        """Normalized order-plan prefix contribution for ``mask`` (an integer
-        or, for DP-LD's layers, an array of masks)."""
-        if self.obj.strategy == "any":
-            return self.pm_any[mask] / self.obj.trpt_ref
-        return self.obj.stats.window * self.pm_next[mask] / self.obj.trpt_ref
-
-    def node_pm(self, mask: int) -> float:
-        """Normalized tree-node contribution for ``mask``, as a Python float
-        (the tree DPs add these in scalar loops)."""
-        if self.obj.strategy == "any":
-            return float(self.pm_any[mask]) / self.obj.trpt_ref
-        return float(self.pm_next[mask]) / self.obj.trpt_ref
-
-    def lat_combine(self, mask_a: int, mask_b: int) -> float:
-        """O(1) version of :meth:`Objective.lat_combine` using the tables."""
-        obj = self.obj
-        last = obj.stats.last_seq_position
-        if obj.alpha == 0.0 or last is None:
-            return 0.0
-        bit = 1 << last
-        if mask_a & bit:
-            sib = mask_b
-        elif mask_b & bit:
-            sib = mask_a
-        else:
-            return 0.0
-        return obj.alpha * self.pm_any[sib] / obj.lat_ref
+    def _pm(self, mask, next_match: bool):
+        return (self.pm_next if next_match else self.pm_any)[mask]

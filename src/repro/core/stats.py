@@ -15,8 +15,12 @@ those quantities for the *positive* part of a pattern:
   ZStream engines actually enforce) or *pairwise* (the literal Theorem 3
   reduction: a 0.5-selectivity predicate between adjacent positions).
 
-All cost functions then reduce to products of ``counts`` and ``sel``
-entries, so no separate ``W^k`` term is needed: ``W^k · Π r_i = Π (W·r_i)``.
+Every partial-match count (§4.1 prefixes, §4.2 tree nodes, §6.2
+skip-till-next counts) comes from one recurrence, :meth:`PatternStats.prefix_pms`:
+a prefix grows by one position at a time, and a set's PM is that
+recurrence over its members in ascending order. It multiplies ``counts``
+and ``sel`` entries only, so no separate ``W^k`` term is needed:
+``W^k · Π r_i = Π (W·r_i)``.
 """
 from __future__ import annotations
 
@@ -88,6 +92,9 @@ class PatternStats:
         if temporal_mode not in ("exact", "pairwise", "none"):
             raise ValueError(f"unknown temporal_mode {temporal_mode!r}")
         pos = pattern.positive()
+        missing = sorted({pattern.types[i] for i in pos} - rates.keys())
+        if missing:
+            raise ValueError(f"no rate for pattern type(s): {', '.join(missing)}")
         n = len(pos)
         counts = np.empty(n, dtype=float)
         for k, i in enumerate(pos):
@@ -137,67 +144,45 @@ class PatternStats:
         """Σ_i W·r_i — the normalizer for the latency cost (§6.1)."""
         return float(self.counts.sum())
 
-    def temporal_factor(self, mask: int) -> float:
-        """Probability that the seq-members of ``mask`` arrive in order."""
-        if self.temporal_mode != "exact" or not (mask & self.seq_members):
-            return 1.0
-        k = (mask & self.seq_members).bit_count()
-        return 1.0 / math.factorial(k)
+    def prefix_pms(self, order, next_match: bool = False) -> list[float]:
+        """PM of every prefix of ``order`` — the one partial-match recurrence.
 
-    def pm_of_mask(self, mask: int) -> float:
-        """Expected number of partial matches over the subset ``mask``.
+        ``PM(P+t) = PM(P) · W·r_t · sel_{t,t} · Π_{i∈P} sel_{i,t}``, the
+        predicate factors multiplied in ``order``'s order, divided by k at
+        the k-th sequence member in exact mode (the 1/k! ordering
+        probability, built up incrementally). ``next_match`` takes the
+        running minimum of the counts instead of their product (§6.2's
+        ``W·min(r)``). The float operations are, in order: ``f = sel[t,t]``
+        times each ``sel[i,t]``; ``selprod = selprod·f``, then ``/ k``;
+        ``count = count·W·r_t`` (or the minimum); ``PM = count·selprod``.
+        The batched :meth:`~repro.core.cost_model.Objective.prefix_pm_rows`
+        and :class:`~repro.core.cost_model.SubsetTables` apply exactly these
+        operations, so all three agree bit for bit.
+        """
+        seq = self.seq_members if self.temporal_mode == "exact" else 0
+        sel, counts = self.sel, self.counts
+        selprod, count, k = 1.0, math.inf if next_match else 1.0, 0
+        pms = []
+        for a, t in enumerate(order):
+            f = sel[t, t]
+            for i in order[:a]:
+                f *= sel[i, t]
+            selprod *= f
+            if seq >> t & 1:
+                k += 1
+                selprod /= k
+            count = min(count, counts[t]) if next_match else count * counts[t]
+            pms.append(count * selprod)
+        return pms
+
+    def pm_of_mask(self, mask: int, next_match: bool = False) -> float:
+        """PM of the non-empty subset ``mask``: :meth:`prefix_pms` over its
+        members in ascending order.
 
         This is the paper's PM(k) (§4.1) / PM(node) (§4.2) written for an
         arbitrary subset: ``Π_{i∈mask} (W·r_i)·sel_{i,i} · Π_{i<j∈mask}
-        sel_{i,j}``, times the temporal factor.
+        sel_{i,j}``, divided by |mask ∩ seq|! in exact mode; with
+        ``next_match``, §6.2's ``W·min(r) · Π sel`` instead.
         """
         members = [i for i in range(self.n) if mask >> i & 1]
-        v = 1.0
-        for a, i in enumerate(members):
-            v *= self.counts[i] * self.sel[i, i]
-            for j in members[a + 1 :]:
-                v *= self.sel[i, j]
-        return v * self.temporal_factor(mask)
-
-    def extend_factor(self, mask: int, t: int) -> float:
-        """Multiplier taking PM(mask) to PM(mask | 1<<t).
-
-        Used by the incremental planners (GREEDY, DP-LD): the new event
-        contributes its own count, its filter, its predicates against every
-        current member, and — for sequence patterns in exact mode — the
-        1/(k+1) incremental ordering factor.
-        """
-        if mask >> t & 1:
-            raise ValueError("position already in mask")
-        v = self.counts[t] * self.sel[t, t]
-        for i in range(self.n):
-            if mask >> i & 1:
-                v *= self.sel[i, t]
-        if self.temporal_mode == "exact" and (self.seq_members >> t & 1):
-            k = (mask & self.seq_members).bit_count()
-            v /= k + 1
-        return v
-
-    def combine_factor(self, mask_a: int, mask_b: int) -> float:
-        """Selectivity of joining two disjoint partial matches.
-
-        The paper's SEL_LR(in) (§4.2): the product of selectivities of all
-        predicates between the two leaf sets, times the temporal
-        reordering factor for sequence patterns
-        (``a! · b! / (a+b)!`` in exact mode).
-        """
-        if mask_a & mask_b:
-            raise ValueError("masks must be disjoint")
-        v = 1.0
-        for i in range(self.n):
-            if not (mask_a >> i & 1):
-                continue
-            for j in range(self.n):
-                if mask_b >> j & 1:
-                    v *= self.sel[i, j]
-        if self.temporal_mode == "exact":
-            a = (mask_a & self.seq_members).bit_count()
-            b = (mask_b & self.seq_members).bit_count()
-            if a and b:
-                v *= math.factorial(a) * math.factorial(b) / math.factorial(a + b)
-        return v
+        return self.prefix_pms(members, next_match)[-1]

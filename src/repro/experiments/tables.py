@@ -92,7 +92,7 @@ class Workbench:
     # ------------------------------------------------------------------
     def rates_of(self, pattern: Pattern) -> dict[str, float]:
         subs = pattern.subpatterns if pattern.op is Op.OR else (pattern,)
-        return {t: self.stats.rates[t] for sp in subs for t in sp.types}
+        return self.stats.rates_for(t for sp in subs for t in sp.types)
 
     def run_join(
         self, pattern: Pattern, algorithm: str, *, alpha=0.0, strategy="any"

@@ -54,8 +54,9 @@ class StreamStatistics:
         return self._sel_cache[key]
 
     def rates_for(self, symbols) -> dict[str, float]:
-        """Rate dict restricted to the given symbols (planner input)."""
-        return {s: self.rates[s] for s in symbols}
+        """Rate dict restricted to the given symbols (planner input). A symbol
+        the stream never produced has rate 0.0: zero events were measured."""
+        return {s: self.rates.get(s, 0.0) for s in symbols}
 
 
 def estimate(

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,3 @@ def stock_events_pdf(cfg: StreamConfig) -> pd.DataFrame:
     pdf["serial"] = pdf["event_id"]
     pdf["wid"] = (pdf["ts"] // cfg.window).astype(np.int64)
     return pdf[["event_id", "symbol", "ts", "wid", "serial", "price", "diff"]]
-
-
-def stock_events(spark: SparkSession, cfg: StreamConfig) -> DataFrame:
-    """The event stream as a Spark DataFrame (see :func:`stock_events_pdf`)."""
-    return spark.createDataFrame(stock_events_pdf(cfg))

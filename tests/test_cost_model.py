@@ -340,20 +340,36 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(random_stats(3, 0), strategy="bogus")
 
-    def test_subset_tables_match_direct(self):
-        st = random_stats(6, 8, op=Op.SEQ, temporal_mode="exact")
-        for strategy in ("any", "next"):
+    @pytest.mark.parametrize("mode", ["exact", "pairwise", "none"])
+    @pytest.mark.parametrize("strategy", ["any", "next"])
+    def test_one_recurrence_three_shapes_bitwise(self, mode, strategy):
+        # prefix_pms, the batched rows of order_costs and the subset tables
+        # apply the same float operations in the same order: equal with ==.
+        n = 7
+        next_match = strategy == "next"
+        op = Op.AND if mode == "none" else Op.SEQ
+        for seed in range(8):
+            st = random_stats(n, seed, op=op, temporal_mode=mode)
             obj = Objective(st, alpha=0.3, strategy=strategy)
             tables = SubsetTables(obj)
-            for mask in range(1, 1 << 6):
-                assert tables.prefix_pm(mask) == pytest.approx(
-                    obj.prefix_pm(mask), rel=1e-9
-                )
-                assert tables.node_pm(mask) == pytest.approx(
-                    obj.node_pm(mask), rel=1e-9
-                )
-            assert tables.lat_combine(0b000011, 0b111100) == pytest.approx(
-                obj.lat_combine(0b000011, 0b111100), rel=1e-9
+            table = tables.pm_next if next_match else tables.pm_any
+            # Every subset, as the ascending prefix of an order.
+            masks = range(1, 1 << n)
+            members = [[i for i in range(n) if m >> i & 1] for m in masks]
+            orders = np.array([ms + [i for i in range(n) if i not in ms] for ms in members])
+            rows = obj.prefix_pm_rows(orders)
+            for m, ms, row in zip(masks, members, rows):
+                assert st.prefix_pms(ms, next_match)[-1] == row[len(ms) - 1] == table[m]
+                assert st.pm_of_mask(m, next_match) == table[m]
+                assert tables.prefix_pm(m) == obj.prefix_pm(m)
+                assert tables.node_pm(m) == obj.node_pm(m)
+            # Random orders, every prefix.
+            g = np.random.default_rng(seed)
+            orders = np.array([g.permutation(n) for _ in range(40)])
+            for order, row in zip(orders, obj.prefix_pm_rows(orders)):
+                assert st.prefix_pms(order.tolist(), next_match) == row.tolist()
+            assert tables.lat_combine(0b0000011, 0b1111100) == obj.lat_combine(
+                0b0000011, 0b1111100
             )
 
     def test_subset_tables_size_guard(self):

@@ -3,6 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.pattern import seq
+from repro.core.planner import ALGORITHM_KIND, plan_pattern
 from repro.streams.estimation import StreamStatistics, estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf, true_rates
 
@@ -24,6 +26,15 @@ class TestRates:
     def test_rates_for_subset(self, stats):
         subset = stats.rates_for(["S00", "S03"])
         assert set(subset) == {"S00", "S03"}
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_KIND))
+    def test_unseen_symbol_has_rate_zero(self, stats, algorithm):
+        # No event of "XYZ" was measured: the planners see a 0.0 rate.
+        p = seq(("S00", "XYZ", "S03"), window=CFG.window)
+        rates = stats.rates_for(p.types)
+        assert rates["XYZ"] == 0.0
+        (planned,) = plan_pattern(p, rates, algorithm)
+        assert planned.raw_cost >= 0.0 and planned.objective_cost >= 0.0
 
 
 class TestSelectivity:

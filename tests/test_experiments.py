@@ -1,17 +1,21 @@
 """Tests for the experiment harnesses (repro.experiments) at tiny scale."""
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.pattern import disj, seq
 from repro.experiments.report import format_table, save_table
 from repro.experiments.tables import (
     ExperimentConfig,
+    Workbench,
     table1,
     table4,
     table5,
     table6,
 )
-from repro.streams.stock import StreamConfig
+from repro.streams.estimation import estimate
+from repro.streams.stock import StreamConfig, stock_events_pdf
 
 TINY = ExperimentConfig(
     stream=StreamConfig(n_symbols=6, duration=240.0, window=60.0, seed=13),
@@ -20,6 +24,17 @@ TINY = ExperimentConfig(
     per_size=1,
     algorithms=("TRIVIAL", "EFREQ", "DP-LD", "DP-B"),
 )
+
+
+def test_rates_of_unseen_symbol_is_zero():
+    # rates_of reads only the measured statistics, so no Spark is needed.
+    stats = estimate(stock_events_pdf(TINY.stream), TINY.stream.duration)
+    p = disj([seq(("S00", "XYZ"), window=60.0), seq(("S01",), window=60.0)])
+    assert Workbench.rates_of(SimpleNamespace(stats=stats), p) == {
+        "S00": stats.rates["S00"],
+        "XYZ": 0.0,
+        "S01": stats.rates["S01"],
+    }
 
 
 class TestReport:

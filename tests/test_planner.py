@@ -60,6 +60,12 @@ class TestPlanSimple:
         with pytest.raises(ValueError, match="17 positions overflows a float"):
             plan_pattern(p, {t: 1.2 for t in types}, alg)
 
+    def test_missing_rate_is_a_clear_error(self):
+        # Every absent type is named; a negated position needs no rate.
+        p = seq("ABCDE", negated=(1,), window=10.0)
+        with pytest.raises(ValueError, match="no rate for pattern type.*: C, E$"):
+            plan_pattern(p, {"A": 1.0, "D": 2.0}, "DP-LD")
+
 
 class TestPlanPattern:
     def test_simple_returns_single(self):

@@ -12,6 +12,9 @@ To rewrite the file from the current code (only after checking that a
 change of plans or costs is intended)::
 
     PYTHONPATH=src python -m tests.test_planner_golden
+
+It first prints how many plans and cost hex strings change, and the
+largest relative change of a cost.
 """
 import json
 from pathlib import Path
@@ -121,6 +124,33 @@ def test_plans_and_costs_bit_identical(computed, category):
     assert not diff, f"{len(diff)} of {len(keys)} cases changed, e.g. {next(iter(diff.items()))}"
 
 
+def _changes(old: dict, new: dict) -> str:
+    """How ``new`` differs from ``old``: plans, cost hex strings, and the
+    largest relative change of a cost."""
+    subplans = plans = costs = 0
+    worst = 0.0
+    for cid, records in new.items():
+        before = old.get(cid, [])
+        if len(before) != len(records):
+            plans += len(records)
+            continue
+        for (plan, *hexes), (old_plan, *old_hexes) in zip(records, before):
+            subplans += 1
+            plans += plan != old_plan
+            for h, old_h in zip(hexes, old_hexes):
+                if h != old_h:
+                    costs += 1
+                    a, b = float.fromhex(h), float.fromhex(old_h)
+                    worst = max(worst, abs(a - b) / abs(b) if b else float("inf"))
+    return (
+        f"{len(new)} cases ({len(set(old) ^ set(new))} added or removed), {subplans} "
+        f"subplans compared: {plans} plans changed, {costs} of {2 * subplans} cost hex "
+        f"strings changed, largest relative change {worst:.3g}"
+    )
+
+
 if __name__ == "__main__":
-    rows = sorted(_compute().items())
+    computed = _compute()
+    print(_changes(json.loads(GOLDEN.read_text()), computed))
+    rows = sorted(computed.items())
     GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows) + "\n}\n")

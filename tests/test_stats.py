@@ -97,36 +97,48 @@ class TestSubsetMath:
         assert st.pm_of_mask(0b111) == pytest.approx(20 * 50 * 5 / 6)
 
     def test_extend_factor_consistent_with_pm(self):
+        # PM(P+t) = PM(P) · W·r_t · sel_tt · Π_{i∈P} sel_it / (k+1) for the
+        # (k+1)-th sequence member in exact mode.
         for s in range(5):
             st = random_stats(5, s, op=Op.SEQ, temporal_mode="exact")
-            mask = 0b01101
-            t = 1
-            assert st.pm_of_mask(mask) * st.extend_factor(mask, t) == pytest.approx(
+            mask, t = 0b01101, 1
+            factor = st.counts[t] * st.sel[t, t]
+            for i in (0, 2, 3):
+                factor *= st.sel[i, t]
+            factor /= 4
+            assert st.pm_of_mask(mask) * factor == pytest.approx(
                 st.pm_of_mask(mask | 1 << t), rel=1e-12
             )
 
-    def test_extend_factor_rejects_member(self):
-        st = stats_for(conj("AB"))
-        with pytest.raises(ValueError):
-            st.extend_factor(0b01, 0)
-
     def test_combine_factor_consistent_with_pm(self):
+        # §4.2: PM(L∪R) = PM(L)·PM(R)·SEL_LR, with a!b!/(a+b)! in exact mode.
         for s in range(5):
             st = random_stats(6, s, op=Op.SEQ, temporal_mode="exact")
             a, b = 0b010110, 0b101001
-            assert st.pm_of_mask(a) * st.pm_of_mask(b) * st.combine_factor(
-                a, b
-            ) == pytest.approx(st.pm_of_mask(a | b), rel=1e-12)
-
-    def test_combine_factor_rejects_overlap(self):
-        st = stats_for(conj("AB"))
-        with pytest.raises(ValueError):
-            st.combine_factor(0b11, 0b01)
+            sel_lr = 1.0
+            for i in (1, 2, 4):
+                for j in (0, 3, 5):
+                    sel_lr *= st.sel[i, j]
+            sel_lr *= math.factorial(3) * math.factorial(3) / math.factorial(6)
+            assert st.pm_of_mask(a) * st.pm_of_mask(b) * sel_lr == pytest.approx(
+                st.pm_of_mask(a | b), rel=1e-12
+            )
 
     def test_temporal_factor_values(self):
+        # A k-subset of a sequence survives ordering with probability 1/k!.
         st = stats_for(seq("ABCD"))
-        assert st.temporal_factor(0b1111) == pytest.approx(1 / math.factorial(4))
-        assert st.temporal_factor(0b0001) == 1.0
+        unordered = stats_for(conj("ABCD"))
+        assert st.pm_of_mask(0b1111) == pytest.approx(
+            unordered.pm_of_mask(0b1111) / math.factorial(4)
+        )
+        assert st.pm_of_mask(0b0001) == unordered.pm_of_mask(0b0001)
+
+    def test_next_match_pm_uses_minimum_count(self):
+        st = stats_for(conj("ABC", (Predicate(0, 1, sel=0.1),), window=10.0))
+        assert st.pm_of_mask(0b011, next_match=True) == pytest.approx(20 * 0.1)
+        assert st.prefix_pms((2, 1, 0), next_match=True) == pytest.approx(
+            [5.0, 5.0, 5.0 * 0.1]
+        )
 
     def test_total_count(self):
         st = stats_for(conj("ABC", window=10.0))
