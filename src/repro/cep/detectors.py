@@ -1,19 +1,23 @@
 """Event-at-a-time CEP detectors (paper §2.2–§2.3), pure Python.
 
-Two evaluation mechanisms over the events of ONE time window, processed
-in arrival (serial) order:
+One evaluation mechanism over the events of ONE time window, processed in
+arrival (serial) order: the instance tree of ZStream [35]. Events enter
+leaves, and each new instance combines with the instances of its sibling
+node on the way up; an instance at the root is a match.
 
-- :func:`detect_order` — the out-of-order lazy NFA of [29]: a chain of
-  states following an evaluation order; out-of-order events are buffered
-  and retrieved when their state is reached.
-- :func:`detect_tree` — the instance-based ZStream model of [35]: events
-  enter leaves, instances combine with sibling-node instances upward.
+- :func:`detect_tree` runs a tree plan's instance tree.
+- :func:`detect_order` runs the out-of-order lazy NFA of [29] as its
+  left-deep instance tree (Theorem 1). The first leaf holds the NFA's
+  length-1 partial matches. The later leaves are its type buffers: an
+  out-of-order event waits there until a partial match reaches its state.
+  Buffers are not partial matches, so they are not counted in the peak
+  (the join engine's order-plan report keeps the same split).
 
-Both support the §6.2 selection strategies:
+Both plan kinds run under the §6.2 selection strategies:
 
 - ``any`` (skip-till-any-match) — every combination detected;
 - ``next`` (skip-till-next-match) — events are consumed by the first full
-  match they complete and removed from buffers/partials;
+  match they complete and removed from every node's instances;
 - ``contiguity`` — strict contiguity (global-serial adjacency between
   pattern-adjacent events) with consumption.
 
@@ -33,10 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.core.cost_model import STRATEGIES
 from repro.core.pattern import Op, Pattern
-from repro.core.plans import OrderPlan, TreeNode, TreePlan
-
-STRATEGIES = ("any", "next", "contiguity")
+from repro.core.plans import OrderPlan, TreeNode, TreePlan, left_deep_tree
 
 
 @dataclass
@@ -120,90 +123,17 @@ def _validate(pattern: Pattern, strategy: str) -> None:
         raise ValueError("event detectors support pure SEQ/AND patterns only")
 
 
-# ---------------------------------------------------------------------------
-# Order-based detection: the lazy NFA of §2.2
-# ---------------------------------------------------------------------------
-
-
 def detect_order(
     window: pd.DataFrame,
     pattern: Pattern,
     plan: OrderPlan,
     strategy: str = "any",
 ) -> DetectorResult:
-    """Lazy-NFA detection of a pure pattern over one window's events."""
-    _validate(pattern, strategy)
-    order = list(plan.order)  # planning == pattern positions for pure patterns
-    n = len(order)
-    state_of = {p: k for k, p in enumerate(order)}
-    events = _events_of(window, pattern)
-    res = DetectorResult(matches=[], n_events=len(events))
-    buffers: list[list[_Event]] = [[] for _ in range(n)]
-    partials: list[list[tuple[_Event, ...]]] = [[] for _ in range(n + 1)]
-    consume = strategy in ("next", "contiguity")
-    consumed: set[int] = set()
-    live = 0
-    ops_at_arrival = 0
-
-    def emit(p: tuple[_Event, ...]) -> None:
-        nonlocal live
-        by_pos = sorted(p, key=lambda e: e.pos)
-        res.matches.append(tuple(e.id for e in by_pos))
-        res.match_latencies.append(res.comparisons - ops_at_arrival)
-        if consume:
-            ids = {e.id for e in p}
-            consumed.update(ids)
-            for buf in buffers:
-                buf[:] = [e for e in buf if e.id not in ids]
-            for k in range(1, n):
-                kept = [q for q in partials[k] if not any(e.id in ids for e in q)]
-                live -= len(partials[k]) - len(kept)
-                partials[k][:] = kept
-
-    def compat(p: tuple[_Event, ...], e: _Event) -> bool:
-        for b in p:
-            res.comparisons += 1
-            if not _check(pattern, b, e, strategy):
-                return False
-        return True
-
-    def add_partial(p: tuple[_Event, ...], k: int) -> None:
-        nonlocal live
-        if k == n:
-            emit(p)
-            return
-        partials[k].append(p)
-        live += 1
-        res.peak_partials = max(res.peak_partials, live)
-        # Lazy retrieval: combine with already-buffered events of the
-        # next state's type (§2.2).
-        for b in list(buffers[state_of[order[k]]]):
-            if consume and (b.id in consumed or any(e.id in consumed for e in p)):
-                continue
-            if compat(p, b):
-                add_partial(p + (b,), k + 1)
-
-    for e in events:
-        ops_at_arrival = res.comparisons
-        k = state_of[e.pos]
-        if k == 0:
-            add_partial((e,), 1)
-        else:
-            for p in list(partials[k]):
-                if consume and any(x.id in consumed for x in p):
-                    continue
-                if compat(p, e):
-                    add_partial(p + (e,), k + 1)
-                    if consume and e.id in consumed:
-                        break
-        if not (consume and e.id in consumed):
-            buffers[k].append(e)
-    return res
-
-
-# ---------------------------------------------------------------------------
-# Tree-based detection: the instance model of §2.3
-# ---------------------------------------------------------------------------
+    """Lazy-NFA detection of a pure pattern over one window's events: the
+    order's left-deep instance tree, whose later leaves are type buffers."""
+    # Planning positions are pattern positions for pure patterns.
+    root = left_deep_tree(plan.order).root
+    return _detect(window, pattern, root, strategy, {1 << t for t in plan.order[1:]})
 
 
 def detect_tree(
@@ -213,10 +143,22 @@ def detect_tree(
     strategy: str = "any",
 ) -> DetectorResult:
     """Instance-tree (ZStream-style) detection over one window's events."""
+    return _detect(window, pattern, plan.root, strategy, set())
+
+
+def _detect(
+    window: pd.DataFrame,
+    pattern: Pattern,
+    root: TreeNode,
+    strategy: str,
+    buffers: set[int],
+) -> DetectorResult:
+    """Instance-tree detection under ``root``. Instances of the leaves whose
+    masks are in ``buffers`` are a lazy NFA's type buffers: stored and
+    scanned like any leaf's, but never counted as partial matches."""
     _validate(pattern, strategy)
     events = _events_of(window, pattern)
     res = DetectorResult(matches=[], n_events=len(events))
-    root = plan.root
     parent: dict[int, TreeNode] = {}
     leaf_node: dict[int, TreeNode] = {}
     for node in root.nodes():
@@ -243,7 +185,8 @@ def detect_tree(
             consumed.update(ids)
             for mask, lst in instances.items():
                 kept = [q for q in lst if not any(e.id in ids for e in q)]
-                live -= len(lst) - len(kept)
+                if mask not in buffers:
+                    live -= len(lst) - len(kept)
                 lst[:] = kept
 
     def compat(a: tuple[_Event, ...], b: tuple[_Event, ...]) -> bool:
@@ -260,15 +203,15 @@ def detect_tree(
             emit(inst)
             return
         instances[node.mask].append(inst)
-        live += 1
-        res.peak_partials = max(res.peak_partials, live)
+        if node.mask not in buffers:
+            live += 1
+            res.peak_partials = max(res.peak_partials, live)
         par = parent[node.mask]
         sib = par.right if par.left is node else par.left
         for other in list(instances[sib.mask]):
-            if consume and (
-                any(e.id in consumed for e in inst)
-                or any(e.id in consumed for e in other)
-            ):
+            # ``inst`` itself is only consumed by a match made in this loop,
+            # which returns at once.
+            if consume and any(e.id in consumed for e in other):
                 continue
             if compat(inst, other):
                 merged = inst + other if par.left is node else other + inst

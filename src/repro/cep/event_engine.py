@@ -1,15 +1,18 @@
 """Event-at-a-time CEP as a distributed Spark operator.
 
-The pure-Python detectors of :mod:`repro.cep.detectors` are data-parallel
+The pure-Python detector of :mod:`repro.cep.detectors` is data-parallel
 across time windows: the stream is grouped by tumbling window id and each
 window is detected independently inside ``applyInPandas`` (the standard
-way to run a custom streaming operator on the Spark DataFrame API).
+way to run a custom streaming operator on the Spark DataFrame API). An
+order plan runs as its left-deep instance tree (the lazy NFA), a tree
+plan as its own.
 
-Two entry points:
+Two entry points, each one Spark action when collected:
 
 - :func:`run_metrics` — per-window cost rows (events, matches, peak
   partial matches, comparisons, latency) aggregated into
-  :class:`~repro.cep.metrics.ExecutionMetrics`;
+  :class:`~repro.cep.metrics.ExecutionMetrics`; the stream's event count
+  is the sum of the per-window counts;
 - :func:`run_matches` — the actual matches (one ``p{i}_id`` column per
   pattern position), used by the correctness tests to cross-validate
   against the join engine and the DuckDB oracle.
@@ -74,11 +77,11 @@ def run_metrics(
     t0 = time.perf_counter()
     rows = events.groupBy("wid").applyInPandas(fn, schema=_METRIC_SCHEMA).toPandas()
     wall = time.perf_counter() - t0
-    n_events = int(events.count())
     n_matches = int(rows["n_matches"].sum())
     metrics = ExecutionMetrics(
         strategy=strategy,
-        n_events=n_events,
+        # Every event is in one window's group, so no second action is needed.
+        n_events=int(rows["n_events"].sum()),
         n_windows=len(rows),
         intermediate_counts=[int(x) for x in rows["peak_partials"]],
         n_matches=n_matches,

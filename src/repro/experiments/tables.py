@@ -103,7 +103,7 @@ class Workbench:
             self.rates_of(pattern),
             algorithm,
             alpha=alpha,
-            strategy="any" if strategy == "any" else "next",
+            strategy=strategy,
             seed=self.cfg.seed,
         )
         _, m = execute_pattern(
@@ -378,7 +378,8 @@ def table6(
 ):
     """Fig 19: throughput of every algorithm per selection strategy.
 
-    Uses the event engine (lazy NFA / instance trees via applyInPandas):
+    Uses the event engine (instance trees via applyInPandas; an order
+    plan runs as its left-deep tree, the lazy NFA):
     skip-till-next-match consumption and the buffering/reordering overhead
     that makes TRIVIAL win under contiguity are sequential semantics the
     join dataflow cannot express (DESIGN.md §3).
@@ -392,7 +393,6 @@ def table6(
         )
         raw = []
         for strategy in strategies:
-            plan_strategy = "any" if strategy == "any" else "next"
             for pattern in patterns:
                 for alg in cfg.algorithms:
                     if cfg.skip(alg, pattern.size):
@@ -401,7 +401,7 @@ def table6(
                         pattern,
                         bench.rates_of(pattern),
                         alg,
-                        strategy=plan_strategy,
+                        strategy=strategy,
                         seed=cfg.seed,
                     )[0]
                     plan = planned.order_plan or planned.tree_plan

@@ -36,7 +36,10 @@ class StreamStatistics:
         """P(pred(a, b)) for random events a of ``sym_a``, b of ``sym_b``.
 
         Estimates are clamped away from exactly 0/1 so the cost models
-        never divide by zero or collapse terms entirely.
+        never divide by zero or collapse terms entirely. A symbol the stream
+        never produced has no sample, so nothing was measured: the result is
+        1.0. Its rate is 0.0 (:meth:`rates_for`), so every partial-match
+        count that includes it is 0 whatever the selectivity.
         """
         if kind == "true":
             return 1.0
@@ -44,8 +47,11 @@ class StreamStatistics:
             raise ValueError(f"no selectivity model for predicate kind {kind!r}")
         key = (sym_a, sym_b, kind)
         if key not in self._sel_cache:
-            da = self.diff_samples[sym_a]
-            db = self.diff_samples[sym_b]
+            da = self.diff_samples.get(sym_a)
+            db = self.diff_samples.get(sym_b)
+            if da is None or db is None:
+                self._sel_cache[key] = 1.0
+                return 1.0
             if kind == "diff_lt":
                 p = float(np.mean(da[:, None] < db[None, :]))
             else:

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.pattern import seq
+from repro.core.pattern import Predicate, seq
 from repro.core.planner import ALGORITHM_KIND, plan_pattern
 from repro.streams.estimation import StreamStatistics, estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf, true_rates
@@ -59,6 +59,20 @@ class TestSelectivity:
     def test_unknown_kind(self, stats):
         with pytest.raises(ValueError):
             stats.selectivity("S00", "S01", "serial_adj")
+
+    @pytest.mark.parametrize("kind", ["diff_lt", "diff_gt"])
+    def test_unseen_symbol_is_one(self, stats, kind):
+        # Nothing was measured for "XYZ": its predicates are not estimated.
+        assert stats.selectivity("S00", "XYZ", kind) == 1.0
+        assert stats.selectivity("XYZ", "S00", kind) == 1.0
+        assert stats._sel_cache[("S00", "XYZ", kind)] == 1.0
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_KIND))
+    def test_predicate_on_unseen_symbol_plans(self, stats, algorithm):
+        sel = stats.selectivity("S00", "XYZ", "diff_lt")
+        p = seq(("S00", "XYZ", "S03"), (Predicate(0, 1, "diff_lt", sel),), window=CFG.window)
+        (planned,) = plan_pattern(p, stats.rates_for(p.types), algorithm)
+        assert planned.raw_cost >= 0.0 and planned.objective_cost >= 0.0
 
     def test_cache_stable(self, stats):
         a = stats.selectivity("S00", "S07", "diff_lt")

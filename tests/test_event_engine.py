@@ -69,6 +69,27 @@ class TestAnyMatch:
         assert m.n_windows == len(rows)
         assert m.throughput > 0
 
+    def test_metrics_run_no_more_jobs_than_matches(self, spark, events, stats):
+        """run_metrics takes the event count from its per-window rows instead
+        of a second Spark action."""
+        p = make_pattern("sequence", 3, stats, CFG.window, seed=4)
+        pp = plan_simple(p, stats.rates_for(p.types), "DP-LD")
+        sc = spark.sparkContext
+
+        def jobs_of(group, action):
+            sc.setJobGroup(group, "event engine jobs")
+            try:
+                action()
+                return len(sc.statusTracker().getJobIdsForGroup(group))
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+
+        metric_jobs = jobs_of("ev-metrics", lambda: run_metrics(spark, events, p, pp.order_plan))
+        match_jobs = jobs_of(
+            "ev-matches", lambda: run_matches(spark, events, p, pp.order_plan).toPandas()
+        )
+        assert 0 < metric_jobs <= match_jobs
+
 
 class TestStrategies:
     def test_next_match_consumes(self, spark, events, events_pdf, stats):

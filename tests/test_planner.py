@@ -47,6 +47,17 @@ class TestPlanSimple:
         pp = plan_simple(p, RATES, "DP-LD", strategy="next")
         assert pp.objective_cost > 0
 
+    @pytest.mark.parametrize("alg", sorted(ALGORITHM_KIND))
+    def test_contiguity_plans_as_next(self, alg):
+        # Strict contiguity consumes like skip-till-next: one cost model.
+        p = seq("ABCD", (Predicate(0, 2, sel=0.1), Predicate(1, 3, sel=0.4)), window=10.0)
+
+        def planned(strategy):
+            (pp,) = plan_pattern(p, RATES, alg, alpha=0.5, strategy=strategy)
+            return pp.order_plan, pp.tree_plan, pp.objective_cost, pp.raw_cost
+
+        assert planned("contiguity") == planned("next")
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             plan_pattern(seq("AB", window=1.0), RATES, "NOPE")
