@@ -4,7 +4,9 @@
 raw_cost]`` triple per subplan, with both costs as ``float.hex()``. The
 grid covers all 9 planners over four pattern categories, four sizes, both
 temporal modes, two selection strategies and two latency weights, plus
-the three order planners that ``planner_large`` times at n = 14 and 16.
+``planner_large``'s sequence patterns: the three tree planners at n = 8,
+10 and 12 under both strategies and both latency weights, DP-B at n = 14,
+and the three order planners that it times at n = 14 and 16.
 Any change to the planners or the cost model that reorders a float
 operation shows up here as a changed hex string.
 
@@ -35,6 +37,9 @@ CATEGORIES = ("sequence", "conjunction", "negation", "kleene")
 SIZES = (2, 5, 9, 11)
 LARGE_SIZES = (14, 16)
 LARGE_PLANNERS = ("DP-LD", "II-RANDOM", "II-GREEDY")
+# planner_large's tree-planner calls (within the DP caps), plus DP-B at n = 14.
+LARGE_TREE_SIZES = (8, 10, 12)
+LARGE_TREE_CASES = tuple((n, alg) for n in LARGE_TREE_SIZES for alg in TREE_ALGS) + ((14, "DP-B"),)
 
 
 def _grid_pattern(category: str, n: int):
@@ -50,11 +55,11 @@ def _grid_pattern(category: str, n: int):
 
 
 def _large_patterns():
-    """``planner_large``'s sequence patterns at n = 14 and 16, with rates."""
+    """``planner_large``'s sequence patterns at n = 8 … 16, with rates."""
     cfg = StreamConfig(n_symbols=24)
     stats = estimate(stock_events_pdf(cfg), cfg.duration, seed=0)
     out = {}
-    for n in LARGE_SIZES:
+    for n in sorted({*LARGE_SIZES, *LARGE_TREE_SIZES}):
         p = make_pattern("sequence", n, stats, cfg.window, seed=997 * n)
         out[n] = (p, {t: stats.rates[t] for t in p.types})
     return out
@@ -75,6 +80,13 @@ def _cases():
     for n in LARGE_SIZES:
         for planner in LARGE_PLANNERS:
             yield f"large/{n}/exact/any/0.0/{planner}", ("large", n), planner, "any", "exact", 0.0
+    for n, planner in LARGE_TREE_CASES:
+        for strategy in ("any", "next"):
+            for alpha in (0.0, 0.5):
+                yield (
+                    f"large/{n}/exact/{strategy}/{alpha}/{planner}",
+                    ("large", n), planner, strategy, "exact", alpha,
+                )
 
 
 def _tree(node):
@@ -111,7 +123,7 @@ def computed() -> dict:
 
 def test_grid_is_complete():
     expected = json.loads(GOLDEN.read_text())
-    assert len(expected) == 4 * 4 * 2 * 2 * 2 * 9 + 2 * 3
+    assert len(expected) == 4 * 4 * 2 * 2 * 2 * 9 + 2 * 3 + (3 * 3 + 1) * 2 * 2
     assert sorted(expected) == sorted(cid for cid, *_ in _cases())
 
 
