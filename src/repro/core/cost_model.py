@@ -237,7 +237,8 @@ class Objective:
 
     def node_pm(self, mask: int) -> float:
         """Normalized throughput contribution of one tree node, as a Python
-        float (the tree DPs add these in scalar loops)."""
+        float (ZStream's DP adds these in a scalar loop; DP-B divides
+        :class:`SubsetTables`' arrays by ``trpt_ref`` the same way)."""
         return float(self._pm(mask, self.strategy != "any")) / self.trpt_ref
 
     def lat_step(self, mask, t: int):

@@ -7,13 +7,17 @@
 - :func:`zstream_ord` — ZSTREAM-ORD: run the JQPG greedy heuristic to
   produce a good leaf order first, then ZStream's DP on that order.
 - :func:`dp_b` — DP over subsets for unrestricted bushy trees [45, 36]
-  (cross products allowed), provably optimal; O(3ⁿ).
+  (cross products allowed), provably optimal; O(3ⁿ) splits, costed one
+  popcount layer at a time with numpy, with the ties broken as a scalar
+  scan over the splits would break them.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cost_model import Objective, SubsetTables
 from .order_algorithms import greedy
@@ -83,55 +87,83 @@ def zstream_ord(obj: Objective) -> TreePlanResult:
     return TreePlanResult(plan, cost, time.perf_counter() - t0)
 
 
+# Most (mask, split) pairs that DP-B costs at once; bounds its temporaries
+# to a few MB each, whatever the layer's size.
+_SPLIT_CHUNK = 1 << 17
+
+
 def dp_b(obj: Objective) -> TreePlanResult:
     """Optimal bushy tree via DP over subsets (DP-B) [45].
 
     ``cost[S] = node_pm(S) + min_{L⊂S} (cost[L] + cost[S∖L] +
-    lat_combine(L, S∖L))``; leaves are the singleton base case. The split
-    enumeration fixes S's lowest bit on the left side so each unordered
-    split is tried once. O(3ⁿ) — the paper reports 50 h at n = 22 for its
-    Java implementation; callers cap n accordingly.
+    lat_combine(L, S∖L))``; leaves are the singleton base case. S's lowest
+    bit stays on the left side, so each unordered split is tried once
+    (Moerkotte & Neumann's DPsub). O(3ⁿ) — the paper reports 50 h at
+    n = 22 for its Java implementation; callers cap n accordingly.
+
+    The subsets are processed one popcount layer at a time. For a layer's
+    masks, every split is costed in one array: row S lists the right sides
+    R = the non-empty submasks of S∖low in ascending order (so the left
+    sides L = S∖R descend), ``c = cost[L] + cost[R]`` plus
+    :meth:`~repro.core.cost_model.Objective.lat_combine`'s term only when
+    α ≠ 0 and the pattern has a last sequence position. ``np.argmin``
+    keeps the first minimum of each row: the largest left side wins a tie,
+    exactly as a strict-``<`` scan over descending left sides. A large
+    layer is costed in chunks of rows with at most ``_SPLIT_CHUNK``
+    splits (or one row); rows are independent, so chunking changes no
+    result. ``cost[S] = pm[S] / trpt_ref + c_min``, as ``node_pm`` does.
     """
     t0 = time.perf_counter()
     n = obj.stats.n
     tables = SubsetTables(obj)
     size = 1 << n
-    cost = [math.inf] * size
-    split = [0] * size
-    for i in range(n):
-        cost[1 << i] = tables.node_pm(1 << i)
-    for mask in range(3, size):
-        if mask.bit_count() < 2:
-            continue
-        low = mask & -mask
-        rest = mask ^ low
-        best, best_l = math.inf, 0
-        sub = rest
-        while True:
-            left_mask = low | (sub & rest)
-            right_mask = mask ^ left_mask
-            if right_mask:
-                c = (
-                    cost[left_mask]
-                    + cost[right_mask]
-                    + tables.lat_combine(left_mask, right_mask)
+    pm = tables.pm_any if tables.strategy == "any" else tables.pm_next
+    last = tables.stats.last_seq_position
+    lat_bit = 0 if tables.alpha == 0.0 or last is None else 1 << last
+    cost = np.full(size, math.inf)
+    split = np.zeros(size, dtype=np.int64)
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    by_layer = np.argsort(popcount, kind="stable")
+    ends = np.cumsum(np.bincount(popcount))
+    leaves = by_layer[ends[0] : ends[1]]
+    cost[leaves] = pm[leaves] / tables.trpt_ref
+    for p in range(2, n + 1):
+        layer = by_layer[ends[p - 1] : ends[p]]
+        half = 1 << (p - 1)
+        per_chunk = max(1, _SPLIT_CHUNK // half)
+        for start in range(0, len(layer), per_chunk):
+            masks = layer[start : start + per_chunk]
+            # Each row's bits ascending; bits[:, 0] is the lowest (left) bit.
+            bits = np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(-1, p)
+            # sub[:, j] = the j-th submask of S∖low in ascending order.
+            sub = np.zeros((len(masks), half), dtype=np.int64)
+            for k in range(1, p):
+                h = 1 << (k - 1)
+                sub[:, h : 2 * h] = sub[:, :h] + (1 << bits[:, k : k + 1])
+            right = sub[:, 1:]
+            left = masks[:, None] ^ right
+            c = cost[left] + cost[right]
+            if lat_bit:
+                sib = np.where(left & lat_bit, right, left)
+                c += np.where(
+                    masks[:, None] & lat_bit,
+                    tables.alpha * tables.pm_any[sib] / tables.lat_ref,
+                    0.0,
                 )
-                if c < best:
-                    best, best_l = c, left_mask
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        cost[mask] = tables.node_pm(mask) + best
-        split[mask] = best_l
+            rows, best = np.arange(len(masks)), np.argmin(c, axis=1)
+            cost[masks] = pm[masks] / tables.trpt_ref + c[rows, best]
+            split[masks] = left[rows, best]
 
     def build(mask: int) -> TreeNode:
         if mask.bit_count() == 1:
             return leaf(mask.bit_length() - 1)
-        l_mask = split[mask]
+        l_mask = int(split[mask])
         return join(build(l_mask), build(mask ^ l_mask))
 
     plan = TreePlan(build(size - 1))
-    return TreePlanResult(plan, cost[size - 1], time.perf_counter() - t0)
+    return TreePlanResult(plan, float(cost[size - 1]), time.perf_counter() - t0)
 
 
 TREE_ALGORITHMS = {

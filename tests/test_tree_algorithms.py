@@ -1,13 +1,15 @@
 """Tests for the tree-based planners (repro.core.tree_algorithms)."""
 import itertools
+import math
 
 import pytest
 
 from repro.core import cost_model as cm
-from repro.core.cost_model import Objective
+from repro.core import tree_algorithms
+from repro.core.cost_model import Objective, SubsetTables
 from repro.core.order_algorithms import greedy
 from repro.core.pattern import Op, Predicate, conj, seq
-from repro.core.plans import all_tree_plans, left_deep_tree
+from repro.core.plans import TreePlan, all_tree_plans, join, leaf, left_deep_tree
 from repro.core.stats import PatternStats
 from repro.core.tree_algorithms import TREE_ALGORITHMS, dp_b, zstream, zstream_ord
 from tests.util import random_stats
@@ -19,8 +21,6 @@ def brute_force_trees(obj):
 
 def _contiguous_trees(order):
     """All full binary trees over a fixed left-to-right leaf sequence."""
-    from repro.core.plans import join, leaf
-
     if len(order) == 1:
         yield leaf(order[0])
         return
@@ -32,11 +32,98 @@ def _contiguous_trees(order):
 
 def brute_force_contiguous(obj, leaf_order):
     """Optimal tree among those whose left-to-right leaves == leaf_order."""
-    from repro.core.plans import TreePlan
-
     return min(
         obj.tree_cost(TreePlan(root)) for root in _contiguous_trees(tuple(leaf_order))
     )
+
+
+def dp_b_scalar(obj):
+    """DP-B as a scalar loop over each mask's splits: the reference that the
+    layer-wise :func:`dp_b` must match plan for plan and bit for bit.
+
+    The left side is ``low | sub`` for the submasks ``sub`` of the mask
+    without its lowest bit, in descending order; a split replaces the best
+    only if it is strictly cheaper, so the first minimum wins.
+    """
+    n = obj.stats.n
+    tables = SubsetTables(obj)
+    size = 1 << n
+    cost = [math.inf] * size
+    split = [0] * size
+    for i in range(n):
+        cost[1 << i] = tables.node_pm(1 << i)
+    for mask in range(3, size):
+        if mask.bit_count() < 2:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        best, best_l = math.inf, 0
+        sub = rest
+        while True:
+            left_mask = low | (sub & rest)
+            right_mask = mask ^ left_mask
+            if right_mask:
+                c = (
+                    cost[left_mask]
+                    + cost[right_mask]
+                    + tables.lat_combine(left_mask, right_mask)
+                )
+                if c < best:
+                    best, best_l = c, left_mask
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        cost[mask] = tables.node_pm(mask) + best
+        split[mask] = best_l
+
+    def build(mask):
+        if mask.bit_count() == 1:
+            return leaf(mask.bit_length() - 1)
+        l_mask = split[mask]
+        return join(build(l_mask), build(mask ^ l_mask))
+
+    return TreePlan(build(size - 1)), cost[size - 1]
+
+
+def _symmetric_objectives(n, op):
+    """Equal rates and no predicates, so that many splits tie exactly."""
+    pattern = (seq if op is Op.SEQ else conj)([f"T{i}" for i in range(n)], window=10.0)
+    rates = {f"T{i}": 0.5 for i in range(n)}
+    for mode in ("exact", "pairwise", "none"):
+        stats = PatternStats.from_pattern(pattern, rates, temporal_mode=mode)
+        for strategy in ("any", "next"):
+            for alpha in (0.0, 0.5, 1.0):
+                yield f"{mode}/{strategy}/{alpha}", Objective(stats, alpha=alpha, strategy=strategy)
+
+
+class TestDPBMatchesScalarLoop:
+    @pytest.mark.parametrize("op", [Op.SEQ, Op.AND])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_ties_break_as_the_scalar_loop(self, n, op):
+        for case, obj in _symmetric_objectives(n, op):
+            res = dp_b(obj)
+            plan, cost = dp_b_scalar(obj)
+            assert (res.plan, res.cost.hex()) == (plan, cost.hex()), case
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances(self, seed):
+        for mode in ("exact", "pairwise"):
+            stats = random_stats(8, seed, op=Op.SEQ, temporal_mode=mode)
+            for strategy in ("any", "next"):
+                for alpha in (0.0, 0.5):
+                    obj = Objective(stats, alpha=alpha, strategy=strategy)
+                    res = dp_b(obj)
+                    plan, cost = dp_b_scalar(obj)
+                    assert (res.plan, res.cost.hex()) == (plan, cost.hex())
+
+    def test_row_chunks_change_nothing(self, monkeypatch):
+        objs = [obj for _, obj in _symmetric_objectives(9, Op.SEQ)]
+        objs.append(Objective(random_stats(9, 1, op=Op.SEQ, temporal_mode="exact"), alpha=0.5))
+        whole = [dp_b(obj) for obj in objs]
+        monkeypatch.setattr(tree_algorithms, "_SPLIT_CHUNK", 7)
+        for obj, res in zip(objs, whole):
+            chunked = dp_b(obj)
+            assert (chunked.plan, chunked.cost.hex()) == (res.plan, res.cost.hex())
 
 
 class TestDPB:
