@@ -36,7 +36,7 @@ def base_parser(description: str) -> argparse.ArgumentParser:
     p.add_argument("--per-size", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dp-ld-max-n", type=int, default=22)
-    p.add_argument("--dp-b-max-n", type=int, default=12)
+    p.add_argument("--dp-b-max-n", type=int, default=16)
     return p
 
 
