@@ -1,8 +1,11 @@
-"""Benchmark T4 — paper Fig 17: plan quality & generation time for large n."""
+"""Benchmark T4 — paper Fig 17: plan quality & generation time for large n.
+
+Prints its table without saving it: ``results/table4.txt`` comes from
+``jobs/table4_large_plans.py`` at paper scale.
+"""
 import pytest
 
 from benchmarks.bench_config import bench_config
-from repro.experiments.report import save_table
 from repro.experiments.tables import table4
 from repro.streams.stock import StreamConfig
 
@@ -19,7 +22,6 @@ def test_table4_large_plans(benchmark):
     rows, text = out["result"]
     print("\n[Table 4 | Fig 17] normalized plan cost & generation time vs size")
     print(text)
-    save_table("table4", text)
     by = {(r["size"], r["algorithm"]): r for r in rows}
     # DP caps honoured (the paper's 50 h DP-B run at n=22 motivates them)
     assert (16, "DP-B") not in by and (14, "DP-LD") in by

@@ -68,15 +68,19 @@ class JoinExecution:
 
 _PROPAGATE_EMPTY = "org.apache.spark.sql.catalyst.optimizer.PropagateEmptyRelation"
 
+#: Shuffle partitions of every engine join: a small count for the tiny
+#: per-window joins.
+SHUFFLE_PARTITIONS = 8
+
 
 @contextmanager
-def _engine_conf(spark: SparkSession, shuffle_partitions: int):
-    """Scope the engine's session settings: a small shuffle-partition
-    count for the tiny per-window joins, no adaptive execution, and no
-    dropping of a join next to an input the optimizer proves empty (as it
-    can for a small in-memory DataFrame). The module docstring says why."""
+def _engine_conf(spark: SparkSession):
+    """Scope the engine's session settings: :data:`SHUFFLE_PARTITIONS`,
+    no adaptive execution, and no dropping of a join next to an input the
+    optimizer proves empty (as it can for a small in-memory DataFrame).
+    The module docstring says why."""
     settings = {
-        "spark.sql.shuffle.partitions": str(shuffle_partitions),
+        "spark.sql.shuffle.partitions": str(SHUFFLE_PARTITIONS),
         "spark.sql.adaptive.enabled": "false",
         "spark.sql.optimizer.excludedRules": _PROPAGATE_EMPTY,
     }
@@ -344,7 +348,6 @@ def execute_planned(
     planned: PlannedPattern,
     *,
     strategy: str = "any",
-    shuffle_partitions: int = 8,
     measured: tuple[dict[str, float], int, int] | None = None,
 ) -> JoinExecution:
     """Run a plan as a tree of window joins; an order plan runs as its
@@ -363,7 +366,7 @@ def execute_planned(
         root, report = left_deep_tree(planned.order_plan.order).root, _order_report
     else:
         root, report = planned.tree_plan.root, _tree_report
-    with _engine_conf(spark, shuffle_partitions):
+    with _engine_conf(spark):
         per_window, n_events, n_windows = measured or _measured_window_counts(events)
         t0 = time.perf_counter()
         cur, observed = _build(events, planned, root, strategy, per_window, n_windows)
@@ -390,7 +393,6 @@ def execute_pattern(
     planned_list: list[PlannedPattern],
     *,
     strategy: str = "any",
-    shuffle_partitions: int = 8,
     measured: tuple[dict[str, float], int, int] | None = None,
 ) -> tuple[list[JoinExecution], ExecutionMetrics]:
     """Execute a (possibly disjunctive) pattern: one run per subplan.
@@ -400,17 +402,10 @@ def execute_pattern(
     measured once for all subplans.
     """
     if measured is None:
-        with _engine_conf(spark, shuffle_partitions):
+        with _engine_conf(spark):
             measured = _measured_window_counts(events)
     runs = [
-        execute_planned(
-            spark,
-            events,
-            pp,
-            strategy=strategy,
-            shuffle_partitions=shuffle_partitions,
-            measured=measured,
-        )
+        execute_planned(spark, events, pp, strategy=strategy, measured=measured)
         for pp in planned_list
     ]
     merged = runs[0].metrics

@@ -120,8 +120,9 @@ def execute_order_plan_streaming(
     name = f"cep_{uuid.uuid4().hex[:10]}"
     # A streaming query keeps the shuffle-partition count it starts with,
     # and every micro-batch runs one state-store partition per shuffle
-    # partition per join, so start it under the join engine's small count.
-    with _engine_conf(spark, 8):
+    # partition per join, so start it under the join engine's
+    # SHUFFLE_PARTITIONS.
+    with _engine_conf(spark):
         query = (
             cur.select(*out_cols)
             .writeStream.format("memory")

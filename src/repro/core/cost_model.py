@@ -389,5 +389,15 @@ class SubsetTables(Objective):
         self.pm_any = countprod * selprod
         self.pm_next = mincnt * selprod
 
+    def layers(self) -> list[np.ndarray]:
+        """``layers()[p]`` = the masks of popcount p, ascending, for
+        p = 0 … n: the order in which the DP planners fill their tables
+        (their tie-breaking relies on it)."""
+        popcount = np.zeros(1, dtype=np.int8)
+        for _ in range(self.stats.n):
+            popcount = np.concatenate([popcount, popcount + 1])
+        by_layer = np.argsort(popcount, kind="stable")
+        return np.split(by_layer, np.cumsum(np.bincount(popcount))[:-1])
+
     def _pm(self, mask, next_match: bool):
         return (self.pm_next if next_match else self.pm_any)[mask]

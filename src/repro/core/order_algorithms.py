@@ -23,41 +23,28 @@ from __future__ import annotations
 import functools
 import math
 import random
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cost_model import Objective, SubsetTables
-from .plans import OrderPlan
+from .plans import OrderPlan, PlanResult
 
 
-@dataclass(frozen=True)
-class PlanResult:
-    """A generated plan plus its objective cost and generation time."""
-
-    plan: OrderPlan
-    cost: float
-    gen_seconds: float
-
-
-def _result(obj: Objective, order: tuple[int, ...], t0: float) -> PlanResult:
+def _result(obj: Objective, order: tuple[int, ...]) -> PlanResult:
     plan = OrderPlan(order)
-    return PlanResult(plan, obj.order_cost(plan), time.perf_counter() - t0)
+    return PlanResult(plan, obj.order_cost(plan))
 
 
 def trivial(obj: Objective) -> PlanResult:
     """The initial pattern order — no optimization."""
-    t0 = time.perf_counter()
-    return _result(obj, tuple(range(obj.stats.n)), t0)
+    return _result(obj, tuple(range(obj.stats.n)))
 
 
 def efreq(obj: Objective) -> PlanResult:
     """Ascending order of arrival frequency (W·r_i), ties by position."""
-    t0 = time.perf_counter()
     n = obj.stats.n
     order = tuple(sorted(range(n), key=lambda i: (obj.stats.counts[i], i)))
-    return _result(obj, order, t0)
+    return _result(obj, order)
 
 
 def greedy(obj: Objective) -> PlanResult:
@@ -67,7 +54,6 @@ def greedy(obj: Objective) -> PlanResult:
     cost (the new prefix's expected partial matches plus its latency
     contribution).
     """
-    t0 = time.perf_counter()
     n = obj.stats.n
     remaining = set(range(n))
     order: list[int] = []
@@ -81,7 +67,7 @@ def greedy(obj: Objective) -> PlanResult:
         order.append(best_t)
         remaining.remove(best_t)
         mask |= 1 << best_t
-    return _result(obj, tuple(order), t0)
+    return _result(obj, tuple(order))
 
 
 def _neighbours(order: tuple[int, ...]):
@@ -140,19 +126,17 @@ def _descend(obj: Objective, order: tuple[int, ...]) -> tuple[tuple[int, ...], f
 
 def ii_random(obj: Objective, seed: int = 0) -> PlanResult:
     """Iterative Improvement from a random initial order (II-RANDOM)."""
-    t0 = time.perf_counter()
     order = list(range(obj.stats.n))
     random.Random(seed).shuffle(order)
     order, cost = _descend(obj, tuple(order))
-    return PlanResult(OrderPlan(order), cost, time.perf_counter() - t0)
+    return PlanResult(OrderPlan(order), cost)
 
 
 def ii_greedy(obj: Objective) -> PlanResult:
     """Iterative Improvement from the greedy order (II-GREEDY)."""
-    t0 = time.perf_counter()
     start = greedy(obj).plan.order
     order, cost = _descend(obj, start)
-    return PlanResult(OrderPlan(order), cost, time.perf_counter() - t0)
+    return PlanResult(OrderPlan(order), cost)
 
 
 def dp_ld(obj: Objective) -> PlanResult:
@@ -161,26 +145,20 @@ def dp_ld(obj: Objective) -> PlanResult:
     ``cost[S] = pm(S) + min_{t∈S} (cost[S∖t] + lat_step(S∖t, t))`` — valid
     because both throughput models depend on the member *set* only, and
     the latency term decomposes over placements after T_n (see
-    DESIGN.md). The subsets are processed one popcount layer at a time,
-    with vector operations over the layer: for t ascending, a running
-    strict-``<`` minimum, so the lowest t wins a tie. A mask without bit t
-    reads ``cost[S | t]`` of the next layer, still ∞, and never wins.
+    DESIGN.md). The subsets are processed one popcount layer at a time
+    (:meth:`SubsetTables.layers`), with vector operations over the layer:
+    for t ascending, a running strict-``<`` minimum, so the lowest t wins
+    a tie. A mask without bit t reads ``cost[S | t]`` of the next layer,
+    still ∞, and never wins.
     O(2ⁿ·n) time, O(2ⁿ) space.
     """
-    t0 = time.perf_counter()
     n = obj.stats.n
     tables = SubsetTables(obj)
     size = 1 << n
     cost = np.full(size, math.inf)
     cost[0] = 0.0
     choice = np.full(size, -1, dtype=np.int8)
-    popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        popcount = np.concatenate([popcount, popcount + 1])
-    by_layer = np.argsort(popcount, kind="stable")
-    ends = np.cumsum(np.bincount(popcount))
-    for p in range(1, n + 1):
-        layer = by_layer[ends[p - 1] : ends[p]]
+    for layer in tables.layers()[1:]:
         best = np.full(len(layer), math.inf)
         best_t = np.full(len(layer), -1, dtype=np.int8)
         for t in range(n):
@@ -199,8 +177,7 @@ def dp_ld(obj: Objective) -> PlanResult:
         order.append(t)
         mask ^= 1 << t
     order.reverse()
-    plan = OrderPlan(tuple(order))
-    return PlanResult(plan, float(cost[size - 1]), time.perf_counter() - t0)
+    return PlanResult(OrderPlan(tuple(order)), float(cost[size - 1]))
 
 
 ORDER_ALGORITHMS = {

@@ -12,10 +12,13 @@
 
 The result carries both the plan and its costs: ``objective_cost`` (what
 the planner minimized) and ``raw_cost`` (the paper's §4 Cost_ord/Cost_tree,
-used by the Fig 16/17 experiments).
+used by the Fig 16/17 experiments). :func:`plan_simple` is the one place
+that looks a planner up and runs it, so it alone seeds II-RANDOM and times
+the algorithm call (``gen_seconds``, Fig 17's generation time).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .cost_model import Objective, cost_ord, cost_tree
@@ -25,6 +28,7 @@ from .plans import OrderPlan, TreePlan
 from .stats import PatternStats
 from .tree_algorithms import TREE_ALGORITHMS
 
+PLANNERS = ORDER_ALGORITHMS | TREE_ALGORITHMS
 ALGORITHM_KIND = {name: "order" for name in ORDER_ALGORITHMS} | {
     name: "tree" for name in TREE_ALGORITHMS
 }
@@ -57,31 +61,31 @@ def plan_simple(
     temporal_mode: str = "exact",
     seed: int = 0,
 ) -> PlannedPattern:
-    """Generate an evaluation plan for one simple (non-OR) pattern."""
+    """Generate an evaluation plan for one simple (non-OR) pattern.
+
+    ``gen_seconds`` is the wall time of the algorithm call alone, without
+    building the statistics and the objective it minimizes.
+    """
+    if algorithm not in PLANNERS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; choose from {sorted(PLANNERS)}"
+        )
     stats = PatternStats.from_pattern(pattern, rates, temporal_mode=temporal_mode)
     obj = Objective(stats, alpha=alpha, strategy=strategy)
-    kind = ALGORITHM_KIND[algorithm]
-    if kind == "order":
-        fn = ORDER_ALGORITHMS[algorithm]
-        res = fn(obj, seed=seed) if fn is ii_random else fn(obj)
-        return PlannedPattern(
-            pattern,
-            stats,
-            res.plan,
-            None,
-            res.cost,
-            cost_ord(res.plan, stats),
-            res.gen_seconds,
-        )
-    res = TREE_ALGORITHMS[algorithm](obj)
+    fn = PLANNERS[algorithm]
+    t0 = time.perf_counter()
+    res = fn(obj, seed=seed) if fn is ii_random else fn(obj)
+    gen_seconds = time.perf_counter() - t0
+    plan = res.plan
+    order = isinstance(plan, OrderPlan)
     return PlannedPattern(
         pattern,
         stats,
-        None,
-        res.plan,
+        plan if order else None,
+        None if order else plan,
         res.cost,
-        cost_tree(res.plan, stats),
-        res.gen_seconds,
+        cost_ord(plan, stats) if order else cost_tree(plan, stats),
+        gen_seconds,
     )
 
 
@@ -101,10 +105,6 @@ def plan_pattern(
     detected independently (§5.4); the result list preserves subpattern
     order. Simple patterns yield a single-element list.
     """
-    if algorithm not in ALGORITHM_KIND:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHM_KIND)}"
-        )
     subs = pattern.subpatterns if pattern.op is Op.OR else (pattern,)
     return [
         plan_simple(

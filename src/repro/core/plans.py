@@ -6,6 +6,7 @@ binary tree over the planning positions — the scheme for a tree-based
 (ZStream-style) engine. Planning positions index into
 :class:`repro.core.stats.PatternStats` (positive positions only);
 ``PatternStats.positions`` maps them back to pattern positions.
+Every planner returns either plan as a :class:`PlanResult`.
 """
 from __future__ import annotations
 
@@ -78,6 +79,15 @@ class TreePlan:
     @property
     def n(self) -> int:
         return self.root.mask.bit_count()
+
+
+@dataclass(frozen=True)
+class PlanResult:
+    """What every planner returns: its plan and the objective cost it
+    minimized. :func:`repro.core.planner.plan_simple` times the call."""
+
+    plan: OrderPlan | TreePlan
+    cost: float
 
 
 def leaf(i: int) -> TreeNode:

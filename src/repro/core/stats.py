@@ -38,6 +38,11 @@ from .pattern import Op, Pattern
 MAX_KLEENE_EXP = 64.0
 
 
+def kleene_pseudo_count(rate: float, window: float) -> float:
+    """``W·r' = 2^{W·r}`` — the power-set pseudo-type count (Theorem 4)."""
+    return 2.0 ** min(rate * window, MAX_KLEENE_EXP)
+
+
 @dataclass
 class PatternStats:
     """Window-normalized statistics for one simple pattern.
@@ -98,10 +103,11 @@ class PatternStats:
         n = len(pos)
         counts = np.empty(n, dtype=float)
         for k, i in enumerate(pos):
-            c = pattern.window * rates[pattern.types[i]]
+            rate = rates[pattern.types[i]]
             if i in pattern.kleene:
-                c = 2.0 ** min(c, MAX_KLEENE_EXP)
-            counts[k] = c
+                counts[k] = kleene_pseudo_count(rate, pattern.window)
+            else:
+                counts[k] = pattern.window * rate
         sel = np.ones((n, n), dtype=float)
         back = {i: k for k, i in enumerate(pos)}
         for p in pattern.predicates:

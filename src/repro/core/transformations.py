@@ -5,8 +5,8 @@
   positions (selectivity 0.5 under iid timestamps).
 - Kleene closure (Theorem 4) is realized in
   :meth:`repro.core.stats.PatternStats.from_pattern`: the KL position's
-  count is inflated to ``2^{W·r}`` for planning; :func:`kleene_pseudo_count`
-  exposes the same arithmetic for tests.
+  count is inflated to ``2^{W·r}`` for planning
+  (:func:`repro.core.stats.kleene_pseudo_count`).
 - :func:`negation_dependencies` — §5.3: for each negated position, the
   positive positions that must be bound before the absence check can run
   (its temporal neighbours in a SEQ plus every predicate partner).
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .pattern import Op, Pattern, Predicate
-from .stats import MAX_KLEENE_EXP
 
 #: Selectivity of one adjacent temporal-order predicate (iid timestamps).
 TS_SEL = 0.5
@@ -45,11 +44,6 @@ def seq_to_and(pattern: Pattern) -> Pattern:
         Predicate(i, i + 1, kind="ts_lt", sel=TS_SEL) for i in range(n - 1)
     )
     return replace(pattern, op=Op.AND, predicates=pattern.predicates + extra)
-
-
-def kleene_pseudo_count(rate: float, window: float) -> float:
-    """``W·r' = 2^{W·r}`` — the power-set pseudo-type count (Theorem 4)."""
-    return 2.0 ** min(rate * window, MAX_KLEENE_EXP)
 
 
 def negation_dependencies(pattern: Pattern) -> dict[int, frozenset[int]]:

@@ -14,26 +14,15 @@
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cost_model import Objective, SubsetTables
 from .order_algorithms import greedy
-from .plans import TreeNode, TreePlan, join, leaf
+from .plans import PlanResult, TreeNode, TreePlan, join, leaf
 
 
-@dataclass(frozen=True)
-class TreePlanResult:
-    """A generated tree plan plus its objective cost and generation time."""
-
-    plan: TreePlan
-    cost: float
-    gen_seconds: float
-
-
-def _zstream_dp(obj: Objective, leaf_order: tuple[int, ...]) -> tuple[TreePlan, float]:
+def _zstream_dp(obj: Objective, leaf_order: tuple[int, ...]) -> PlanResult:
     """Optimal tree over contiguous groupings of ``leaf_order``."""
     n = len(leaf_order)
     tables = SubsetTables(obj)
@@ -69,22 +58,17 @@ def _zstream_dp(obj: Objective, leaf_order: tuple[int, ...]) -> tuple[TreePlan, 
         k = split[i, j]
         return join(build(i, k), build(k + 1, j))
 
-    return TreePlan(build(0, n - 1)), cost[0, n - 1]
+    return PlanResult(TreePlan(build(0, n - 1)), cost[0, n - 1])
 
 
-def zstream(obj: Objective) -> TreePlanResult:
+def zstream(obj: Objective) -> PlanResult:
     """ZStream's DP on the pattern's own leaf order [35]."""
-    t0 = time.perf_counter()
-    plan, cost = _zstream_dp(obj, tuple(range(obj.stats.n)))
-    return TreePlanResult(plan, cost, time.perf_counter() - t0)
+    return _zstream_dp(obj, tuple(range(obj.stats.n)))
 
 
-def zstream_ord(obj: Objective) -> TreePlanResult:
+def zstream_ord(obj: Objective) -> PlanResult:
     """GREEDY leaf ordering followed by ZStream's DP (ZSTREAM-ORD)."""
-    t0 = time.perf_counter()
-    order = greedy(obj).plan.order
-    plan, cost = _zstream_dp(obj, order)
-    return TreePlanResult(plan, cost, time.perf_counter() - t0)
+    return _zstream_dp(obj, greedy(obj).plan.order)
 
 
 # Most (mask, split) pairs that DP-B costs at once; bounds its temporaries
@@ -92,7 +76,7 @@ def zstream_ord(obj: Objective) -> TreePlanResult:
 _SPLIT_CHUNK = 1 << 17
 
 
-def dp_b(obj: Objective) -> TreePlanResult:
+def dp_b(obj: Objective) -> PlanResult:
     """Optimal bushy tree via DP over subsets (DP-B) [45].
 
     ``cost[S] = node_pm(S) + min_{L⊂S} (cost[L] + cost[S∖L] +
@@ -101,7 +85,8 @@ def dp_b(obj: Objective) -> TreePlanResult:
     (Moerkotte & Neumann's DPsub). O(3ⁿ) — the paper reports 50 h at
     n = 22 for its Java implementation; callers cap n accordingly.
 
-    The subsets are processed one popcount layer at a time. For a layer's
+    The subsets are processed one popcount layer at a time
+    (:meth:`~repro.core.cost_model.SubsetTables.layers`). For a layer's
     masks, every split is costed in one array: row S lists the right sides
     R = the non-empty submasks of S∖low in ascending order (so the left
     sides L = S∖R descend), ``c = cost[L] + cost[R]`` plus
@@ -113,7 +98,6 @@ def dp_b(obj: Objective) -> TreePlanResult:
     splits (or one row); rows are independent, so chunking changes no
     result. ``cost[S] = pm[S] / trpt_ref + c_min``, as ``node_pm`` does.
     """
-    t0 = time.perf_counter()
     n = obj.stats.n
     tables = SubsetTables(obj)
     size = 1 << n
@@ -122,15 +106,9 @@ def dp_b(obj: Objective) -> TreePlanResult:
     lat_bit = 0 if tables.alpha == 0.0 or last is None else 1 << last
     cost = np.full(size, math.inf)
     split = np.zeros(size, dtype=np.int64)
-    popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        popcount = np.concatenate([popcount, popcount + 1])
-    by_layer = np.argsort(popcount, kind="stable")
-    ends = np.cumsum(np.bincount(popcount))
-    leaves = by_layer[ends[0] : ends[1]]
-    cost[leaves] = pm[leaves] / tables.trpt_ref
-    for p in range(2, n + 1):
-        layer = by_layer[ends[p - 1] : ends[p]]
+    layers = tables.layers()
+    cost[layers[1]] = pm[layers[1]] / tables.trpt_ref
+    for p, layer in enumerate(layers[2:], 2):
         half = 1 << (p - 1)
         per_chunk = max(1, _SPLIT_CHUNK // half)
         for start in range(0, len(layer), per_chunk):
@@ -162,8 +140,7 @@ def dp_b(obj: Objective) -> TreePlanResult:
         l_mask = int(split[mask])
         return join(build(l_mask), build(mask ^ l_mask))
 
-    plan = TreePlan(build(size - 1))
-    return TreePlanResult(plan, float(cost[size - 1]), time.perf_counter() - t0)
+    return PlanResult(TreePlan(build(size - 1)), float(cost[size - 1]))
 
 
 TREE_ALGORITHMS = {

@@ -24,19 +24,18 @@ from pyspark.sql import SparkSession
 from repro.cep.event_engine import run_metrics
 from repro.cep.join_engine import _measured_window_counts, execute_pattern
 from repro.core.cost_model import Objective
-from repro.core.order_algorithms import ORDER_ALGORITHMS, ii_random
+from repro.core.order_algorithms import ORDER_ALGORITHMS
 from repro.core.pattern import Op, Pattern
-from repro.core.planner import ALGORITHM_KIND, plan_pattern
+from repro.core.planner import ALGORITHM_KIND, plan_pattern, plan_simple
 from repro.core.plans import left_deep_tree
-from repro.core.stats import PatternStats
 from repro.core.tree_algorithms import TREE_ALGORITHMS
 from repro.streams.estimation import StreamStatistics, estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf
 from repro.workloads.generator import CATEGORIES, make_pattern, make_pattern_set
 from .report import format_table
 
-ORDER_ALGS = ("TRIVIAL", "EFREQ", "GREEDY", "II-RANDOM", "II-GREEDY", "DP-LD")
-TREE_ALGS = ("ZSTREAM", "ZSTREAM-ORD", "DP-B")
+ORDER_ALGS = tuple(ORDER_ALGORITHMS)
+TREE_ALGS = tuple(TREE_ALGORITHMS)
 JQPG_ALGS = ("GREEDY", "II-RANDOM", "II-GREEDY", "DP-LD", "ZSTREAM-ORD", "DP-B")
 
 
@@ -289,25 +288,23 @@ def table4(
             pattern = make_pattern(
                 "sequence", size, stats, cfg.stream.window, seed=cfg.seed + 997 * size + k
             )
-            pstats = PatternStats.from_pattern(
-                pattern, stats.rates_for(pattern.types)
-            )
-            obj = Objective(pstats)
-            base = ORDER_ALGORITHMS["EFREQ"](obj)
+            rates = stats.rates_for(pattern.types)
+            base = plan_simple(pattern, rates, "EFREQ")
             # Tree costs include the per-leaf buffer terms the order model
             # lacks, so tree plans are normalized against EFREQ's order
             # realized as a left-deep tree (apples to apples).
-            base_tree = obj.tree_cost(left_deep_tree(base.plan.order))
+            base_tree = Objective(base.stats).tree_cost(
+                left_deep_tree(base.order_plan.order)
+            )
             for alg in algorithms:
                 if cfg.skip(alg, size):
                     continue
-                fn = ORDER_ALGORITHMS.get(alg) or TREE_ALGORITHMS[alg]
-                res = fn(obj, seed=cfg.seed) if fn is ii_random else fn(obj)
-                ref = base_tree if alg in TREE_ALGORITHMS else base.cost
+                pp = plan_simple(pattern, rates, alg, seed=cfg.seed)
+                ref = base.objective_cost if pp.kind == "order" else base_tree
                 per_alg[alg].append(
                     {
-                        "norm_cost": ref / max(res.cost, 1e-300),
-                        "gen_seconds": res.gen_seconds,
+                        "norm_cost": ref / max(pp.objective_cost, 1e-300),
+                        "gen_seconds": pp.gen_seconds,
                     }
                 )
         for alg in algorithms:

@@ -372,6 +372,18 @@ class TestObjective:
                 0b0000011, 0b1111100
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_subset_tables_layers(self, n):
+        # DP-LD's and DP-B's tie-breaking relies on this order: every mask
+        # once, layer p holding the masks of popcount p, ascending.
+        layers = SubsetTables(Objective(random_stats(n, 0))).layers()
+        assert len(layers) == n + 1
+        assert sorted(np.concatenate(layers).tolist()) == list(range(1 << n))
+        for p, layer in enumerate(layers):
+            masks = layer.tolist()
+            assert masks == sorted(masks)
+            assert all(m.bit_count() == p for m in masks)
+
     def test_subset_tables_size_guard(self):
         with pytest.raises(ValueError):
             SubsetTables(Objective(random_stats(25, 0)))

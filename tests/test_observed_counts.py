@@ -83,7 +83,7 @@ def streams(spark):
 
 def _executed_plan(spark, df) -> str:
     buf = io.StringIO()
-    with _engine_conf(spark, 8), contextlib.redirect_stdout(buf):
+    with _engine_conf(spark), contextlib.redirect_stdout(buf):
         df.explain()
     return buf.getvalue()
 

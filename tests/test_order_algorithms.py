@@ -44,7 +44,6 @@ class TestBaselines:
         for fn in (trivial, efreq, greedy):
             res = fn(obj)
             assert res.cost == pytest.approx(obj.order_cost(res.plan), rel=1e-12)
-            assert res.gen_seconds >= 0
 
 
 class TestOptimality:

@@ -62,6 +62,10 @@ class TestPlanSimple:
         with pytest.raises(ValueError):
             plan_pattern(seq("AB", window=1.0), RATES, "NOPE")
 
+    def test_unknown_algorithm_names_the_choices(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'NOPE'; choose from .*DP-B"):
+            plan_simple(seq("AB", window=1.0), RATES, "NOPE")
+
     @pytest.mark.parametrize("alg", sorted(ALGORITHM_KIND))
     def test_overflowing_cost_is_a_clear_error(self, alg):
         # 17 Kleene positions at W·r = 72: each count is capped at 2^64, and

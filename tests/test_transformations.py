@@ -2,12 +2,11 @@
 import pytest
 
 from repro.core.pattern import Op, Predicate, conj, seq
-from repro.core.stats import PatternStats
+from repro.core.stats import PatternStats, kleene_pseudo_count
 from repro.core.transformations import (
     TS_SEL,
     OpNode,
     event,
-    kleene_pseudo_count,
     negation_dependencies,
     op_and,
     op_or,
