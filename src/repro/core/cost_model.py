@@ -26,14 +26,18 @@ float operations in the same order, so the three agree bit for bit:
 - scalar: ``prefix_pms(order)`` for one order plan (``cost_ord``,
   ``cost_ord_next``), and ``pm_of_mask`` — the recurrence over a set's
   members in ascending order — for tree nodes and single subsets;
-- a batch of order plans: :meth:`Objective.prefix_pm_rows` (Iterative
-  Improvement's neighbourhoods, :meth:`Objective.order_costs`);
+- a batch of B order plans of L positions, each ``base[moves[b]]`` for one
+  base order and an :class:`OrderIndex` of the moves (any batch is the case
+  base = 0 … n−1): :meth:`Objective.prefix_pm_rows`, run row by row over a
+  position-major ``(L, B)`` layout (Iterative Improvement's neighbourhoods,
+  :meth:`Objective.order_costs`);
 - every subset at once: :class:`SubsetTables` (the DP planners).
 
 ``cost_ldj``/``cost_bj`` do not use it: they witness Theorems 1 and 2.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -180,6 +184,44 @@ def cost_tree_next(plan: TreePlan, stats: PatternStats) -> float:
 STRATEGIES = ("any", "next", "contiguity")
 
 
+class OrderIndex:
+    """Index tables of a batch of B order plans of L positions, given as
+    positions into a base order of ``size`` planning positions: plan b is
+    ``base[moves[b]]``. The tables depend on ``moves`` and ``size`` only, so
+    one index serves every base (Iterative Improvement's swap/cycle moves,
+    for whatever the current order is).
+
+    ``positions`` is ``moves`` position-major, ``(L, B)``. ``factors`` holds
+    flat indices into the base's ``size×size`` factor matrix
+    ``sel[base][:, base]``, one ``(B,)`` row per factor of the
+    recurrence: L rows for the diagonal ``sel[t_k, t_k]``, then one row per
+    pair ``(j, k)``, j < k, j-major, which is the order in which
+    :meth:`PatternStats.prefix_pms` multiplies them.
+    """
+
+    def __init__(self, moves: np.ndarray, size: int):
+        self.positions = np.ascontiguousarray(np.asarray(moves, dtype=np.intp).T)
+        j, k = _pairs(self.positions.shape[0])
+        self.factors = np.concatenate(
+            [self.positions * (size + 1), self.positions[j] * size + self.positions[k]]
+        )
+        # Left writeable: ``take`` copies a read-only index array on every call.
+
+
+@functools.cache
+def _pairs(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(j, k)``, j < k < length, j-major."""
+    return np.triu_indices(length, 1)
+
+
+def _batch(orders, base, n: int) -> tuple[OrderIndex, np.ndarray]:
+    """``(index, base)`` of a batch: an array of planning positions is its
+    own index over the base 0 … n−1."""
+    if base is None:
+        return OrderIndex(orders, n), np.arange(n)
+    return orders, base
+
+
 @dataclass
 class Objective:
     """``Cost = Cost^trpt + α·Cost^lat`` with strategy-specific Cost^trpt.
@@ -276,60 +318,95 @@ class Objective:
         """Full cost of one order plan: :meth:`order_costs` on a batch of one."""
         return float(self.order_costs(np.array([plan.order]))[0])
 
-    def prefix_pm_rows(self, orders: np.ndarray) -> np.ndarray:
-        """Raw prefix PMs of each row of ``orders[B, n]``, one order plan per
-        row: :meth:`PatternStats.prefix_pms` under this objective's strategy,
+    def prefix_pm_rows(
+        self, orders: np.ndarray | OrderIndex, base: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Raw prefix PMs of a batch of order plans, ``[B, L]``, one row per
+        plan: :meth:`PatternStats.prefix_pms` under this objective's strategy,
         batched.
 
-        Each float operation of the recurrence is applied to all B plans at
-        once, in the recurrence's order: position k's factor
-        ``sel[t,t]·sel[t_0,t]·…·sel[t_{k-1},t]`` (ascending j);
-        ``selprod_k = selprod_{k-1}·f_k``, then ``/ k_seq`` at the k_seq-th
-        sequence member in exact mode; the running count product (or
-        minimum); ``PM_k = count_k·selprod_k``. Row b equals
-        ``prefix_pms(orders[b])`` bit for bit, whatever batch it is in.
+        ``orders`` is either a ``[B, L]`` array of planning positions, one
+        (possibly partial) plan per row, or, with ``base``, an
+        :class:`OrderIndex` whose plan b is ``base[moves[b]]``. An array is
+        the case base = 0 … n−1, with its index built here.
+
+        The factors come from the base's own factor matrix
+        ``sel[base][:, base]`` in one flat ``take``, and the recurrence
+        runs row by row over the position-major ``(L, B)`` table, each float
+        operation applied to all B plans at once in the recurrence's order:
+        position k's factor ``sel[t,t]·sel[t_0,t]·…·sel[t_{k-1},t]``
+        (ascending j); ``selprod_k = selprod_{k-1}·f_k``, then ``/ k_seq``
+        at the k_seq-th sequence member in exact mode; the running count
+        product (or minimum); ``PM_k = count_k·selprod_k``. Row b equals
+        ``prefix_pms`` of plan b bit for bit, whatever batch it is in. The
+        result is a transposed view of the ``(L, B)`` table.
         """
         st = self.stats
-        n = orders.shape[1]
-        sel = st.sel
-        selprod = sel[orders, orders]
-        for j in range(n - 1):
-            selprod[:, j + 1 :] *= sel[orders[:, j : j + 1], orders[:, j + 1 :]]
+        index, base = _batch(orders, base, st.n)
+        pos = index.positions
+        length = pos.shape[0]
+        # The flat indices are in range by construction, and "wrap" skips
+        # take's bounds check (the counts' take below still makes one).
+        factors = st.sel[base][:, base].take(index.factors, mode="wrap")
+        selprod = factors[:length]
+        row = length
+        for j in range(length - 1):
+            selprod[j + 1 :] *= factors[row : row + length - 1 - j]
+            row += length - 1 - j
         seq = st.seq_members if st.temporal_mode == "exact" else 0
         if seq:
-            is_seq = np.array([seq >> i & 1 for i in range(n)], dtype=bool)[orders]
-            # Dividing by 1 where the position is not a sequence member is exact.
-            k_seq = np.where(is_seq, np.cumsum(is_seq, axis=1), 1)
-            selprod[:, 0] /= k_seq[:, 0]
-        for k in range(1, n):
-            selprod[:, k] *= selprod[:, k - 1]
+            member = np.array([seq >> i & 1 for i in range(st.n)], dtype=bool)[base]
+            if member.all():
+                # Row k holds the (k+1)-th sequence member of every plan.
+                k_seq = np.arange(1.0, length + 1)
+            else:
+                is_seq = member.take(pos)
+                k_seq = is_seq.astype(float)
+                for k in range(1, length):
+                    k_seq[k] += k_seq[k - 1]
+                # Dividing by 1 where the position is not a sequence member is exact.
+                k_seq = np.where(is_seq, k_seq, 1.0)
+        # Row 0 would divide by 1 (the first member, or none), which is exact.
+        count = st.counts[base].take(pos)
+        combine = np.multiply if self.strategy == "any" else np.minimum
+        rows, count_rows = list(selprod), list(count)
+        for k in range(1, length):
+            rows[k] *= rows[k - 1]
             if seq:
-                selprod[:, k] /= k_seq[:, k]
-        accumulate = np.multiply.accumulate if self.strategy == "any" else np.minimum.accumulate
-        return accumulate(st.counts[orders], axis=1) * selprod
+                rows[k] /= k_seq[k]
+            combine(count_rows[k], count_rows[k - 1], out=count_rows[k])
+        return (count * selprod).T
 
-    def order_costs(self, orders: np.ndarray) -> np.ndarray:
-        """Full cost of each row of ``orders[B, n]``, one order plan per row.
+    def order_costs(
+        self, orders: np.ndarray | OrderIndex, base: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Full cost of each plan of a batch, ``orders`` and ``base`` as in
+        :meth:`prefix_pm_rows`.
 
         Normalizes :meth:`prefix_pm_rows` as :meth:`prefix_pm` does, then
-        sums ``lat_k`` and ``pm_k`` left to right, ``total += lat_k`` before
-        ``total += pm_k``, where ``lat_k`` is :meth:`lat_step`'s term. A
-        plan's cost therefore does not depend on the batch it is in.
+        sums ``lat_k`` and ``pm_k`` left to right from 0.0, ``total +=
+        lat_k`` before ``total += pm_k``, one ``(B,)`` row at a time, where
+        ``lat_k`` is :meth:`lat_step`'s term (exactly 0.0 when α = 0, so
+        it is not added). A plan's cost therefore does not depend on the
+        batch it is in.
         """
         st = self.stats
-        orders = np.asarray(orders)
-        n_plans, n = orders.shape
-        terms = np.empty((n_plans, 2 * n))
-        terms[:, 1::2] = self._prefix_term(self.prefix_pm_rows(orders))
+        index, base = _batch(orders, base, st.n)
+        pms = self._prefix_term(self.prefix_pm_rows(index, base).T)
         last = st.last_seq_position
-        if self.alpha == 0.0 or last is None:
-            terms[:, 0::2] = 0.0
-        else:
+        lat = None
+        if self.alpha != 0.0 and last is not None:
             # lat_step's rule without bitmasks, which overflow int64 past 63 positions.
-            is_last = orders == last
-            last_before = (np.cumsum(is_last, axis=1) - is_last).astype(bool)
-            terms[:, 0::2] = np.where(last_before, self.alpha * st.counts[orders] / self.lat_ref, 0.0)
-        return np.add.accumulate(terms, axis=1)[:, -1]
+            is_last = (base == last).take(index.positions)
+            last_before = (np.cumsum(is_last, axis=0) - is_last).astype(bool)
+            counts = st.counts[base].take(index.positions)
+            lat = np.where(last_before, self.alpha * counts / self.lat_ref, 0.0)
+        total = np.zeros(pms.shape[1])
+        for k, pm in enumerate(pms):
+            if lat is not None:
+                total += lat[k]
+            total += pm
+        return total
 
     def tree_cost(self, plan: TreePlan) -> float:
         total = 0.0

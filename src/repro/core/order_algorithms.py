@@ -26,7 +26,7 @@ import random
 
 import numpy as np
 
-from .cost_model import Objective, SubsetTables
+from .cost_model import Objective, OrderIndex, SubsetTables
 from .plans import OrderPlan, PlanResult
 
 
@@ -98,21 +98,30 @@ def _moves(n: int) -> np.ndarray:
     return np.array(list(_neighbours(tuple(range(n)))), dtype=np.intp).reshape(-1, n)
 
 
+@functools.cache
+def _neighbourhood(n: int) -> OrderIndex:
+    """The :class:`OrderIndex` of :func:`_moves`, built once per n: it
+    serves every current order of a descent."""
+    return OrderIndex(_moves(n), n)
+
+
 def _descend(obj: Objective, order: tuple[int, ...]) -> tuple[tuple[int, ...], float]:
     """Steepest-descent local search until a local minimum.
 
-    Each step costs the whole swap/cycle neighbourhood in one
-    :meth:`Objective.order_costs` call, then scans the costs in neighbour
-    order and keeps a neighbour only if it beats the running best by the
-    relative tolerance below (so among near-ties the first one wins, which
-    an ``argmin`` would not guarantee).
+    Each step costs the whole swap/cycle neighbourhood of the current order
+    in one :meth:`Objective.order_costs` call, with the current order as the
+    base and the cached :func:`_neighbourhood` tables (so a step gathers its
+    factors from the current order's own n×n factor matrix). It then scans
+    the costs in neighbour order and keeps a neighbour only if it beats the
+    running best by the relative tolerance below (so among near-ties the
+    first one wins, which an ``argmin`` would not guarantee).
     """
     moves = _moves(len(order))
+    index = _neighbourhood(len(order))
     current = np.array(order)
     cost = obj.order_cost(OrderPlan(order))
     while True:
-        nbs = current[moves]
-        costs = obj.order_costs(nbs)
+        costs = obj.order_costs(index, current)
         best_i, best_c = -1, cost
         # Only a neighbour that beats the current cost can beat the running best.
         for i in np.flatnonzero((costs < cost - 1e-300) & (costs < cost * (1 - 1e-12))):
@@ -121,7 +130,7 @@ def _descend(obj: Objective, order: tuple[int, ...]) -> tuple[tuple[int, ...], f
                 best_i, best_c = i, c
         if best_i < 0:
             return tuple(current.tolist()), cost
-        current, cost = nbs[best_i], float(best_c)
+        current, cost = current[moves[best_i]], float(best_c)
 
 
 def ii_random(obj: Objective, seed: int = 0) -> PlanResult:

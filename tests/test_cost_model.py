@@ -372,6 +372,22 @@ class TestObjective:
                 0b0000011, 0b1111100
             )
 
+    @pytest.mark.parametrize("mode", ["exact", "pairwise", "none"])
+    @pytest.mark.parametrize("strategy", ["any", "next"])
+    def test_partial_order_rows(self, mode, strategy):
+        # A batch of partial orders: positions are the pattern's, not 0 … L−1.
+        n = 5
+        op = Op.AND if mode == "none" else Op.SEQ
+        st = random_stats(n, 3, op=op, temporal_mode=mode)
+        obj = Objective(st, strategy=strategy)
+        next_match = strategy == "next"
+        assert obj.prefix_pm_rows(np.array([[3, 4]]))[0].tolist() == st.prefix_pms([3, 4], next_match)
+        g = np.random.default_rng(0)
+        for length in range(1, n + 1):
+            orders = np.array([g.permutation(n)[:length] for _ in range(10)])
+            for order, row in zip(orders, obj.prefix_pm_rows(orders)):
+                assert row.tolist() == st.prefix_pms(order.tolist(), next_match)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_subset_tables_layers(self, n):
         # DP-LD's and DP-B's tie-breaking relies on this order: every mask

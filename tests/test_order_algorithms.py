@@ -1,4 +1,5 @@
 """Tests for the order-based planners (repro.core.order_algorithms)."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,10 @@ from repro.core import cost_model as cm
 from repro.core.cost_model import Objective
 from repro.core.order_algorithms import (
     ORDER_ALGORITHMS,
+    _descend,
+    _moves,
+    _neighbourhood,
+    _neighbours,
     dp_ld,
     efreq,
     greedy,
@@ -117,6 +122,76 @@ class TestIterativeImprovement:
         nbs = set(_neighbours((0, 1, 2)))
         assert (1, 0, 2) in nbs and (0, 2, 1) in nbs and (2, 0, 1) in nbs
         assert (1, 2, 0) in nbs
+
+
+def _neighbourhood_stats(n, seed, mode):
+    """Random stats for the neighbourhood tests, with a random filter
+    selectivity on the diagonal so that the diagonal factor's place in the
+    product shows. ``"partial"`` is exact mode with only some positions
+    sequence members."""
+    op = Op.AND if mode == "none" else Op.SEQ
+    st = random_stats(n, seed, op=op, temporal_mode="exact" if mode == "partial" else mode)
+    g = np.random.default_rng(seed)
+    sel = st.sel.copy()
+    sel[np.diag_indices(n)] = g.uniform(0.05, 1.0, n)
+    members = st.seq_members
+    if mode == "partial":
+        members = int(g.integers(1, 1 << n)) if n > 1 else 1
+    return dataclasses.replace(st, sel=sel, seq_members=members)
+
+
+def _scalar_cost(obj, order):
+    """An order plan's cost from the scalar recurrence, summed left to right
+    from 0.0: ``lat_k`` (for a position placed after T_n), then the
+    normalized ``pm_k``."""
+    st = obj.stats
+    last = st.last_seq_position
+    total, after_last = 0.0, False
+    for t, pm in zip(order, st.prefix_pms(order, obj.strategy != "any")):
+        if obj.alpha != 0.0 and after_last:
+            total += obj.alpha * st.counts[t] / obj.lat_ref
+        total += obj._prefix_term(pm)
+        after_last |= t == last
+    return total
+
+
+class TestNeighbourhood:
+    """Iterative Improvement's batched neighbourhood, against the scalar
+    recurrence, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_moves_are_the_neighbours_in_order(self, n):
+        assert [tuple(m) for m in _moves(n).tolist()] == list(_neighbours(tuple(range(n))))
+
+    @pytest.mark.parametrize("mode", ["exact", "partial", "pairwise", "none"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_neighbour_rows_equal_scalar_recurrence(self, n, mode):
+        moves, index = _moves(n), _neighbourhood(n)
+        for seed in range(3):
+            st = _neighbourhood_stats(n, 31 * n + seed, mode)
+            base = np.random.default_rng(seed).permutation(n)
+            neighbours = [base[m].tolist() for m in moves]
+            for strategy in ("any", "next"):
+                for alpha in (0.0, 0.5):
+                    obj = Objective(st, alpha=alpha, strategy=strategy)
+                    rows = obj.prefix_pm_rows(index, base)
+                    costs = obj.order_costs(index, base)
+                    assert rows.shape == (len(moves), n) and costs.shape == (len(moves),)
+                    for nb, row, cost in zip(neighbours, rows, costs):
+                        assert row.tolist() == st.prefix_pms(nb, strategy != "any")
+                        assert cost == _scalar_cost(obj, nb)
+                    # The same plans as an array batch: the case base = 0 … n−1.
+                    if neighbours:
+                        assert obj.order_costs(np.array(neighbours)).tolist() == costs.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_descents(self, n):
+        # n = 1 has no moves, n = 2 only the one swap.
+        assert _moves(n).shape == (n * (n - 1) // 2, n)
+        obj = Objective(_neighbourhood_stats(n, 5, "exact"), alpha=0.5)
+        order, cost = _descend(obj, tuple(range(n))[::-1])
+        assert sorted(order) == list(range(n))
+        assert cost == obj.order_cost(OrderPlan(order)) == brute_force(obj)
 
 
 class TestGreedy:

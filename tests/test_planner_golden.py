@@ -6,7 +6,8 @@ grid covers all 9 planners over four pattern categories, four sizes, both
 temporal modes, two selection strategies and two latency weights, plus
 ``planner_large``'s sequence patterns: the three tree planners at n = 8,
 10 and 12 under both strategies and both latency weights, DP-B at n = 14,
-and the three order planners that it times at n = 14 and 16.
+DP-LD at n = 14 and 16, and II-RANDOM and II-GREEDY at n = 8 … 16 under
+both strategies and both latency weights.
 Any change to the planners or the cost model that reorders a float
 operation shows up here as a changed hex string.
 
@@ -36,7 +37,8 @@ GOLDEN = Path(__file__).with_name("planner_golden.json")
 CATEGORIES = ("sequence", "conjunction", "negation", "kleene")
 SIZES = (2, 5, 9, 11)
 LARGE_SIZES = (14, 16)
-LARGE_PLANNERS = ("DP-LD", "II-RANDOM", "II-GREEDY")
+LARGE_II_SIZES = (8, 10, 12, 14, 16)
+LARGE_II_PLANNERS = ("II-RANDOM", "II-GREEDY")
 # planner_large's tree-planner calls (within the DP caps), plus DP-B at n = 14.
 LARGE_TREE_SIZES = (8, 10, 12)
 LARGE_TREE_CASES = tuple((n, alg) for n in LARGE_TREE_SIZES for alg in TREE_ALGS) + ((14, "DP-B"),)
@@ -59,7 +61,7 @@ def _large_patterns():
     cfg = StreamConfig(n_symbols=24)
     stats = estimate(stock_events_pdf(cfg), cfg.duration, seed=0)
     out = {}
-    for n in sorted({*LARGE_SIZES, *LARGE_TREE_SIZES}):
+    for n in sorted({*LARGE_SIZES, *LARGE_II_SIZES, *LARGE_TREE_SIZES}):
         p = make_pattern("sequence", n, stats, cfg.window, seed=997 * n)
         out[n] = (p, {t: stats.rates[t] for t in p.types})
     return out
@@ -78,9 +80,9 @@ def _cases():
                                 (category, n), planner, strategy, mode, alpha,
                             )
     for n in LARGE_SIZES:
-        for planner in LARGE_PLANNERS:
-            yield f"large/{n}/exact/any/0.0/{planner}", ("large", n), planner, "any", "exact", 0.0
-    for n, planner in LARGE_TREE_CASES:
+        yield f"large/{n}/exact/any/0.0/DP-LD", ("large", n), "DP-LD", "any", "exact", 0.0
+    large_ii = tuple((n, alg) for n in LARGE_II_SIZES for alg in LARGE_II_PLANNERS)
+    for n, planner in large_ii + LARGE_TREE_CASES:
         for strategy in ("any", "next"):
             for alpha in (0.0, 0.5):
                 yield (
@@ -123,7 +125,7 @@ def computed() -> dict:
 
 def test_grid_is_complete():
     expected = json.loads(GOLDEN.read_text())
-    assert len(expected) == 4 * 4 * 2 * 2 * 2 * 9 + 2 * 3 + (3 * 3 + 1) * 2 * 2
+    assert len(expected) == 4 * 4 * 2 * 2 * 2 * 9 + 2 + (5 * 2 + 3 * 3 + 1) * 2 * 2
     assert sorted(expected) == sorted(cid for cid, *_ in _cases())
 
 
