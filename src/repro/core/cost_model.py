@@ -201,6 +201,11 @@ class OrderIndex:
 
     def __init__(self, moves: np.ndarray, size: int):
         self.positions = np.ascontiguousarray(np.asarray(moves, dtype=np.intp).T)
+        if self.positions.size and not (
+            0 <= self.positions.min() and self.positions.max() < size
+        ):
+            # A flat factor index out of 0 … size−1 would read another cell.
+            raise ValueError(f"order positions must lie in 0 … {size - 1}")
         j, k = _pairs(self.positions.shape[0])
         self.factors = np.concatenate(
             [self.positions * (size + 1), self.positions[j] * size + self.positions[k]]
@@ -216,7 +221,12 @@ def _pairs(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _batch(orders, base, n: int) -> tuple[OrderIndex, np.ndarray]:
     """``(index, base)`` of a batch: an array of planning positions is its
-    own index over the base 0 … n−1."""
+    own index over the base 0 … n−1; an :class:`OrderIndex` needs its base."""
+    if (base is None) == isinstance(orders, OrderIndex):
+        raise TypeError(
+            "pass either an array of orders without a base, "
+            "or an OrderIndex with the base order it indexes"
+        )
     if base is None:
         return OrderIndex(orders, n), np.arange(n)
     return orders, base
@@ -328,7 +338,9 @@ class Objective:
         ``orders`` is either a ``[B, L]`` array of planning positions, one
         (possibly partial) plan per row, or, with ``base``, an
         :class:`OrderIndex` whose plan b is ``base[moves[b]]``. An array is
-        the case base = 0 … n−1, with its index built here.
+        the case base = 0 … n−1, with its index built here. Any other
+        pairing raises ``TypeError``, and a position outside 0 … n−1 (a
+        negative one included) raises ``ValueError``.
 
         The factors come from the base's own factor matrix
         ``sel[base][:, base]`` in one flat ``take``, and the recurrence
@@ -345,8 +357,8 @@ class Objective:
         index, base = _batch(orders, base, st.n)
         pos = index.positions
         length = pos.shape[0]
-        # The flat indices are in range by construction, and "wrap" skips
-        # take's bounds check (the counts' take below still makes one).
+        # OrderIndex checked its positions, so every flat index is in range
+        # and "wrap" only skips take's bounds check.
         factors = st.sel[base][:, base].take(index.factors, mode="wrap")
         selprod = factors[:length]
         row = length
@@ -356,16 +368,12 @@ class Objective:
         seq = st.seq_members if st.temporal_mode == "exact" else 0
         if seq:
             member = np.array([seq >> i & 1 for i in range(st.n)], dtype=bool)[base]
-            if member.all():
-                # Row k holds the (k+1)-th sequence member of every plan.
-                k_seq = np.arange(1.0, length + 1)
-            else:
-                is_seq = member.take(pos)
-                k_seq = is_seq.astype(float)
-                for k in range(1, length):
-                    k_seq[k] += k_seq[k - 1]
-                # Dividing by 1 where the position is not a sequence member is exact.
-                k_seq = np.where(is_seq, k_seq, 1.0)
+            is_seq = member.take(pos)
+            k_seq = is_seq.astype(float)
+            for k in range(1, length):
+                k_seq[k] += k_seq[k - 1]
+            # Dividing by 1 where the position is not a sequence member is exact.
+            k_seq = np.where(is_seq, k_seq, 1.0)
         # Row 0 would divide by 1 (the first member, or none), which is exact.
         count = st.counts[base].take(pos)
         combine = np.multiply if self.strategy == "any" else np.minimum

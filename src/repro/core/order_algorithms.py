@@ -116,7 +116,6 @@ def _descend(obj: Objective, order: tuple[int, ...]) -> tuple[tuple[int, ...], f
     running best by the relative tolerance below (so among near-ties the
     first one wins, which an ``argmin`` would not guarantee).
     """
-    moves = _moves(len(order))
     index = _neighbourhood(len(order))
     current = np.array(order)
     cost = obj.order_cost(OrderPlan(order))
@@ -130,7 +129,7 @@ def _descend(obj: Objective, order: tuple[int, ...]) -> tuple[tuple[int, ...], f
                 best_i, best_c = i, c
         if best_i < 0:
             return tuple(current.tolist()), cost
-        current, cost = current[moves[best_i]], float(best_c)
+        current, cost = current[index.positions[:, best_i]], float(best_c)
 
 
 def ii_random(obj: Objective, seed: int = 0) -> PlanResult:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from repro.core import cost_model as cm
-from repro.core.cost_model import Objective, SubsetTables
+from repro.core.cost_model import Objective, OrderIndex, SubsetTables
 from repro.core.pattern import Op, Predicate, conj, seq
 from repro.core.plans import OrderPlan, TreePlan, all_tree_plans, left_deep_tree
 from repro.core.stats import PatternStats
@@ -387,6 +387,22 @@ class TestObjective:
             orders = np.array([g.permutation(n)[:length] for _ in range(10)])
             for order, row in zip(orders, obj.prefix_pm_rows(orders)):
                 assert row.tolist() == st.prefix_pms(order.tolist(), next_match)
+
+    def test_batch_rejects_bad_positions_and_pairings(self):
+        # A negative position would index the counts like Python does but
+        # wrap the flat factor index to another cell of the factor matrix.
+        n = 5
+        obj = Objective(random_stats(n, 3))
+        for bad in ([[0, -1]], [[-1, 2, 3, 4, 0]], [[5, 0]]):
+            with pytest.raises(ValueError):
+                obj.prefix_pm_rows(np.array(bad))
+            with pytest.raises(ValueError):
+                obj.order_costs(np.array(bad))
+        index = OrderIndex(np.array([[1, 0, 2, 3, 4]]), n)
+        with pytest.raises(TypeError):
+            obj.order_costs(index)
+        with pytest.raises(TypeError):
+            obj.prefix_pm_rows(np.array([[1, 0]]), np.arange(n))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_subset_tables_layers(self, n):
