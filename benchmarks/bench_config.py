@@ -5,7 +5,8 @@ unit tests (so plan quality dominates wall-clock) but small enough that
 the full suite finishes in minutes. The ``jobs/`` entrypoints run the same
 harnesses at larger scale.
 """
-from repro.experiments.tables import ExperimentConfig
+from repro.experiments.report import save_table
+from repro.experiments.tables import ExperimentConfig, table4
 from repro.streams.stock import StreamConfig
 
 BENCH_STREAM = StreamConfig(
@@ -23,3 +24,17 @@ def bench_config(**overrides) -> ExperimentConfig:
     kw = dict(stream=BENCH_STREAM, sizes=(3, 4), per_size=1, seed=0)
     kw.update(overrides)
     return ExperimentConfig(**kw)
+
+
+def bench_table(benchmark, title: str, table, spark, cfg: ExperimentConfig, **kwargs):
+    """Time one run of ``table``, print it under ``title`` and return its
+    result. Every table but Table 4 is saved under ``results/``; that file
+    comes from ``jobs/table4_large_plans.py`` at paper scale."""
+    result, text = benchmark.pedantic(
+        table, args=(spark, cfg), kwargs=kwargs, rounds=1, iterations=1
+    )
+    print(f"\n{title}")
+    print(text)
+    if table is not table4:
+        save_table(table.__name__, text)
+    return result

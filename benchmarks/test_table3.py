@@ -1,24 +1,17 @@
 """Benchmark T3 — paper Fig 16: measured performance vs plan cost."""
 import pytest
 
-from benchmarks.bench_config import bench_config
-from repro.experiments.report import save_table
+from benchmarks.bench_config import bench_config, bench_table
 from repro.experiments.tables import table3
 
 
 @pytest.mark.benchmark(group="table3")
 def test_table3_cost_validation(spark, benchmark):
     cfg = bench_config(categories=("sequence", "conjunction"), sizes=(3, 4, 5))
-    out = {}
-
-    def run():
-        out["result"] = table3(spark, cfg)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    result, text = out["result"]
-    print("\n[Table 3 | Fig 16] throughput & memory vs plan cost")
-    print(text)
-    save_table("table3", text)
+    result = bench_table(
+        benchmark, "[Table 3 | Fig 16] throughput & memory vs plan cost",
+        table3, spark, cfg,
+    )
     s = result["summary"]
     # The paper's Fig 16 shapes: cost anti-correlates with throughput and
     # correlates (≈ linearly) with memory.

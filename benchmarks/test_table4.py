@@ -5,7 +5,7 @@ Prints its table without saving it: ``results/table4.txt`` comes from
 """
 import pytest
 
-from benchmarks.bench_config import bench_config
+from benchmarks.bench_config import bench_config, bench_table
 from repro.experiments.tables import table4
 from repro.streams.stock import StreamConfig
 
@@ -13,15 +13,10 @@ from repro.streams.stock import StreamConfig
 @pytest.mark.benchmark(group="table4")
 def test_table4_large_plans(benchmark):
     cfg = bench_config(stream=StreamConfig(n_symbols=24, seed=7))
-    out = {}
-
-    def run():
-        out["result"] = table4(None, cfg, sizes=(3, 6, 9, 12, 14, 16, 18), per_size=2)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    rows, text = out["result"]
-    print("\n[Table 4 | Fig 17] normalized plan cost & generation time vs size")
-    print(text)
+    rows = bench_table(
+        benchmark, "[Table 4 | Fig 17] normalized plan cost & generation time vs size",
+        table4, None, cfg, sizes=(3, 6, 9, 12, 14, 16, 18), per_size=2,
+    )
     by = {(r["size"], r["algorithm"]): r for r in rows}
     # DP caps honoured (the paper's 50 h DP-B run at n=22 motivates them)
     assert (16, "DP-B") not in by and (14, "DP-LD") in by

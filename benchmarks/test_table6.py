@@ -1,24 +1,17 @@
 """Benchmark T6 — paper Fig 19: throughput per event selection strategy."""
 import pytest
 
-from benchmarks.bench_config import bench_config
-from repro.experiments.report import save_table
+from benchmarks.bench_config import bench_config, bench_table
 from repro.experiments.tables import table6
 
 
 @pytest.mark.benchmark(group="table6")
 def test_table6_selection_strategies(spark, benchmark):
     cfg = bench_config(categories=("sequence",), sizes=(3, 4), per_size=1)
-    out = {}
-
-    def run():
-        out["result"] = table6(spark, cfg)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    rows, text = out["result"]
-    print("\n[Table 6 | Fig 19] throughput per selection strategy")
-    print(text)
-    save_table("table6", text)
+    rows = bench_table(
+        benchmark, "[Table 6 | Fig 19] throughput per selection strategy",
+        table6, spark, cfg,
+    )
     assert {r["strategy"] for r in rows} == {"any", "next", "contiguity"}
     by = {(r["strategy"], r["algorithm"]): r for r in rows}
     # skip-till-next and contiguity buffer far fewer partials than any-match

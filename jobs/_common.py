@@ -1,9 +1,9 @@
 """Shared CLI plumbing for the spark-submit job entrypoints.
 
-Each ``jobs/table*.py`` reproduces one evaluation table (DESIGN.md §5).
-Jobs build their own SparkSession (they run standalone under
-``spark-submit`` or plain ``python``); tests/benchmarks use the shared
-``spark`` fixture instead.
+Each ``jobs/table*.py`` reproduces one evaluation table (DESIGN.md §5)
+through :func:`run`, which builds the job's own SparkSession (jobs run
+standalone under ``spark-submit`` or plain ``python``; tests/benchmarks
+use the shared ``spark`` fixture instead).
 """
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import argparse
 
 from pyspark.sql import SparkSession
 
-from repro.experiments.tables import ExperimentConfig
+from repro.experiments.report import save_table
+from repro.experiments.tables import ExperimentConfig, table4
 from repro.streams.stock import StreamConfig
 
 
@@ -35,7 +36,6 @@ def base_parser(description: str) -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="+", default=[3, 4, 5])
     p.add_argument("--per-size", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dp-ld-max-n", type=int, default=22)
     p.add_argument("--dp-b-max-n", type=int, default=16)
     return p
 
@@ -51,8 +51,20 @@ def config_from(args, **overrides) -> ExperimentConfig:
         sizes=tuple(args.sizes),
         per_size=args.per_size,
         seed=args.seed,
-        dp_ld_max_n=args.dp_ld_max_n,
         dp_b_max_n=args.dp_b_max_n,
     )
     kw.update(overrides)
     return ExperimentConfig(**kw)
+
+
+def run(name: str, table, cfg: ExperimentConfig, **kwargs) -> None:
+    """Run ``table`` on a session of its own (none for the planner-only
+    Table 4), then print it and save it as ``results/<name>.txt``."""
+    spark = None if table is table4 else build_spark(name)
+    try:
+        _, text = table(spark, cfg, **kwargs)
+    finally:
+        if spark is not None:
+            spark.stop()
+    print(text)
+    print("saved:", save_table(name, text))

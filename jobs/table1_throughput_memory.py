@@ -6,20 +6,12 @@ import sys
 
 sys.path.insert(0, ".")  # allow running from the repo root without install
 
-from jobs._common import base_parser, build_spark, config_from
-from repro.experiments.report import save_table
+from jobs._common import base_parser, config_from, run
 from repro.experiments.tables import table1
 
 
 def main() -> None:
-    args = base_parser(__doc__).parse_args()
-    spark = build_spark("table1")
-    try:
-        _, text = table1(spark, config_from(args))
-    finally:
-        spark.stop()
-    print(text)
-    print("saved:", save_table("table1", text))
+    run("table1", table1, config_from(base_parser(__doc__).parse_args()))
 
 
 if __name__ == "__main__":

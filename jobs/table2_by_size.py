@@ -6,8 +6,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from jobs._common import base_parser, build_spark, config_from
-from repro.experiments.report import save_table
+from jobs._common import base_parser, config_from, run
 from repro.experiments.tables import table2
 from repro.workloads.generator import CATEGORIES
 
@@ -16,15 +15,7 @@ def main() -> None:
     p = base_parser(__doc__)
     p.add_argument("--categories", nargs="+", default=list(CATEGORIES))
     args = p.parse_args()
-    spark = build_spark("table2")
-    try:
-        _, text = table2(
-            spark, config_from(args, categories=tuple(args.categories))
-        )
-    finally:
-        spark.stop()
-    print(text)
-    print("saved:", save_table("table2", text))
+    run("table2", table2, config_from(args, categories=tuple(args.categories)))
 
 
 if __name__ == "__main__":

@@ -6,22 +6,13 @@ import sys
 
 sys.path.insert(0, ".")
 
-from jobs._common import base_parser, build_spark, config_from
-from repro.experiments.report import save_table
+from jobs._common import base_parser, config_from, run
 from repro.experiments.tables import table3
 
 
 def main() -> None:
     args = base_parser(__doc__).parse_args()
-    spark = build_spark("table3")
-    try:
-        _, text = table3(
-            spark, config_from(args, categories=("sequence", "conjunction"))
-        )
-    finally:
-        spark.stop()
-    print(text)
-    print("saved:", save_table("table3", text))
+    run("table3", table3, config_from(args, categories=("sequence", "conjunction")))
 
 
 if __name__ == "__main__":

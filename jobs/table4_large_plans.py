@@ -1,7 +1,7 @@
 """Table 4 (paper Fig 17): normalized plan cost & generation time, n = 3..22.
 
-Planner-only — no Spark execution. DP algorithms are capped by
---dp-ld-max-n / --dp-b-max-n (the paper reports 50 h for DP-B at n = 22).
+Planner-only — no Spark execution. DP-LD is capped at n = 22 and DP-B /
+ZStream by --dp-b-max-n (the paper reports 50 h for DP-B at n = 22).
 
 Usage: python jobs/table4_large_plans.py --plan-sizes 3 6 9 12 16 20 22
 """
@@ -9,10 +9,8 @@ import sys
 
 sys.path.insert(0, ".")
 
-from jobs._common import base_parser, config_from
-from repro.experiments.report import save_table
+from jobs._common import base_parser, config_from, run
 from repro.experiments.tables import table4
-from repro.streams.stock import StreamConfig
 
 
 def main() -> None:
@@ -21,13 +19,11 @@ def main() -> None:
         "--plan-sizes", type=int, nargs="+", default=[3, 6, 9, 12, 14, 16, 18, 20, 22]
     )
     args = p.parse_args()
-    n_symbols = max(args.n_symbols, max(args.plan_sizes) + 2)
-    cfg = config_from(args, stream=StreamConfig(n_symbols=n_symbols, seed=7))
-    _, text = table4(
-        None, cfg, sizes=tuple(args.plan_sizes), per_size=args.per_size
+    args.n_symbols = max(args.n_symbols, max(args.plan_sizes) + 2)
+    run(
+        "table4", table4, config_from(args),
+        sizes=tuple(args.plan_sizes), per_size=args.per_size,
     )
-    print(text)
-    print("saved:", save_table("table4", text))
 
 
 if __name__ == "__main__":

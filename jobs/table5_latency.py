@@ -6,8 +6,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from jobs._common import base_parser, build_spark, config_from
-from repro.experiments.report import save_table
+from jobs._common import base_parser, config_from, run
 from repro.experiments.tables import table5
 
 
@@ -15,17 +14,10 @@ def main() -> None:
     p = base_parser(__doc__)
     p.add_argument("--alphas", type=float, nargs="+", default=[0.0, 0.5, 1.0])
     args = p.parse_args()
-    spark = build_spark("table5")
-    try:
-        _, text = table5(
-            spark,
-            config_from(args, categories=("sequence",)),
-            alphas=tuple(args.alphas),
-        )
-    finally:
-        spark.stop()
-    print(text)
-    print("saved:", save_table("table5", text))
+    run(
+        "table5", table5, config_from(args, categories=("sequence",)),
+        alphas=tuple(args.alphas),
+    )
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ import sys
 
 sys.path.insert(0, ".")
 
-from jobs._common import base_parser, build_spark, config_from
-from repro.experiments.report import save_table
+from jobs._common import base_parser, config_from, run
 from repro.experiments.tables import table6
 
 
@@ -20,17 +19,10 @@ def main() -> None:
         "--strategies", nargs="+", default=["any", "next", "contiguity"]
     )
     args = p.parse_args()
-    spark = build_spark("table6")
-    try:
-        _, text = table6(
-            spark,
-            config_from(args, categories=("sequence",)),
-            strategies=tuple(args.strategies),
-        )
-    finally:
-        spark.stop()
-    print(text)
-    print("saved:", save_table("table6", text))
+    run(
+        "table6", table6, config_from(args, categories=("sequence",)),
+        strategies=tuple(args.strategies),
+    )
 
 
 if __name__ == "__main__":

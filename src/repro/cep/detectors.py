@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import pandas as pd
 
 from repro.core.cost_model import STRATEGIES
@@ -55,12 +54,6 @@ class DetectorResult:
     @property
     def n_matches(self) -> int:
         return len(self.matches)
-
-    @property
-    def avg_latency(self) -> float:
-        if not self.match_latencies:
-            return 0.0
-        return float(np.mean(self.match_latencies))
 
 
 class _Event:
@@ -119,7 +112,7 @@ def _events_of(window: pd.DataFrame, pattern: Pattern) -> list[_Event]:
 def _validate(pattern: Pattern, strategy: str) -> None:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if pattern.negated or pattern.kleene or pattern.op is Op.OR:
+    if not pattern.is_pure():
         raise ValueError("event detectors support pure SEQ/AND patterns only")
 
 

@@ -188,18 +188,16 @@ def _apply_negations(
     window-id column."""
     applied = [j for j, deps in sorted(pending.items()) if deps <= bound]
     for j in applied:
-        del pending[j]
+        deps = pending.pop(j)
         neg = _position_df(events, pattern, j, prefix="n")
         conds = [f"n{j}_wid = {wid}"]
         if pattern.op is Op.SEQ:
-            for i in range(j - 1, -1, -1):
-                if i in bound:
-                    conds.append(f"p{i}_ts < n{j}_ts")
-                    break
-            for i in range(j + 1, len(pattern.types)):
-                if i in bound:
-                    conds.append(f"n{j}_ts < p{i}_ts")
-                    break
+            # The temporal neighbours are j's nearest dependencies on each
+            # side (negation_dependencies).
+            if below := [i for i in deps if i < j]:
+                conds.append(f"p{max(below)}_ts < n{j}_ts")
+            if above := [i for i in deps if i > j]:
+                conds.append(f"n{j}_ts < p{min(above)}_ts")
         for q in pattern.predicates:
             if q.i == j and q.j in bound:
                 conds.append(_pred_expr(q, f"n{j}", f"p{q.j}"))

@@ -39,11 +39,6 @@ class ExecutionMetrics:
         """Total partial-match footprint across all stages/nodes."""
         return int(sum(self.intermediate_counts))
 
-    @property
-    def peak_stage(self) -> int:
-        """Largest single intermediate result."""
-        return int(max(self.intermediate_counts, default=0))
-
     def merged_with(self, other: "ExecutionMetrics") -> "ExecutionMetrics":
         """Combine metrics of independently detected subpatterns (§5.4)."""
         assert self.strategy == other.strategy

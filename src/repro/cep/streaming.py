@@ -30,7 +30,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.pattern import Op, Pattern
+from repro.core.pattern import Pattern
 from repro.core.planner import PlannedPattern
 from .join_engine import _cross_conditions, _engine_conf, _position_df
 
@@ -88,7 +88,7 @@ def execute_order_plan_streaming(
     pattern, stats, plan = planned.pattern, planned.stats, planned.order_plan
     if plan is None:
         raise ValueError("planned pattern carries no order plan")
-    if pattern.negated or pattern.kleene or pattern.op is Op.OR:
+    if not pattern.is_pure():
         raise ValueError("streaming engine supports pure SEQ/AND patterns")
     pos_sequence = [stats.positions[k] for k in plan.order]
     stream = (

@@ -20,7 +20,7 @@ selectivity estimate used by the cost models.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class Op(enum.Enum):
@@ -127,15 +127,6 @@ class Pattern:
     def is_pure(self) -> bool:
         """True if the pattern has no unary operators (paper §2.1)."""
         return not self.negated and not self.kleene and self.op is not Op.OR
-
-    def predicates_between(self, i: int, j: int) -> tuple[Predicate, ...]:
-        """All declared predicates between positions ``i`` and ``j``."""
-        lo, hi = min(i, j), max(i, j)
-        return tuple(p for p in self.predicates if (p.i, p.j) == (lo, hi))
-
-    def with_predicates(self, extra: tuple[Predicate, ...]) -> "Pattern":
-        """A copy of this pattern with ``extra`` predicates appended."""
-        return replace(self, predicates=self.predicates + tuple(extra))
 
 
 def seq(types, predicates=(), window=1.0, negated=(), kleene=()) -> Pattern:

@@ -58,7 +58,6 @@ def plan_simple(
     *,
     alpha: float = 0.0,
     strategy: str = "any",
-    temporal_mode: str = "exact",
     seed: int = 0,
 ) -> PlannedPattern:
     """Generate an evaluation plan for one simple (non-OR) pattern.
@@ -70,7 +69,7 @@ def plan_simple(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(PLANNERS)}"
         )
-    stats = PatternStats.from_pattern(pattern, rates, temporal_mode=temporal_mode)
+    stats = PatternStats.from_pattern(pattern, rates)
     obj = Objective(stats, alpha=alpha, strategy=strategy)
     fn = PLANNERS[algorithm]
     t0 = time.perf_counter()
@@ -96,7 +95,6 @@ def plan_pattern(
     *,
     alpha: float = 0.0,
     strategy: str = "any",
-    temporal_mode: str = "exact",
     seed: int = 0,
 ) -> list[PlannedPattern]:
     """Generate evaluation plans for a pattern of any supported type.
@@ -107,14 +105,6 @@ def plan_pattern(
     """
     subs = pattern.subpatterns if pattern.op is Op.OR else (pattern,)
     return [
-        plan_simple(
-            sp,
-            rates,
-            algorithm,
-            alpha=alpha,
-            strategy=strategy,
-            temporal_mode=temporal_mode,
-            seed=seed,
-        )
+        plan_simple(sp, rates, algorithm, alpha=alpha, strategy=strategy, seed=seed)
         for sp in subs
     ]

@@ -30,9 +30,9 @@ def format_table(rows: list[dict[str, Any]], columns: list[str] | None = None) -
     return "\n".join(lines)
 
 
-def save_table(name: str, text: str, results_dir: str | None = None) -> str:
+def save_table(name: str, text: str) -> str:
     """Write a rendered table under ``results/`` and return the path."""
-    d = os.path.abspath(results_dir or RESULTS_DIR)
+    d = os.path.abspath(RESULTS_DIR)
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, f"{name}.txt")
     with open(path, "w") as f:

@@ -15,18 +15,19 @@ corresponding paper figure plots (DESIGN.md §5 maps tables ↔ figures):
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.cep.event_engine import run_metrics
 from repro.cep.join_engine import _measured_window_counts, execute_pattern
+from repro.cep.metrics import ExecutionMetrics
 from repro.core.cost_model import Objective
 from repro.core.order_algorithms import ORDER_ALGORITHMS
 from repro.core.pattern import Op, Pattern
-from repro.core.planner import ALGORITHM_KIND, plan_pattern, plan_simple
+from repro.core.planner import ALGORITHM_KIND, PlannedPattern, plan_pattern, plan_simple
 from repro.core.plans import left_deep_tree
 from repro.core.tree_algorithms import TREE_ALGORITHMS
 from repro.streams.estimation import StreamStatistics, estimate
@@ -37,6 +38,7 @@ from .report import format_table
 ORDER_ALGS = tuple(ORDER_ALGORITHMS)
 TREE_ALGS = tuple(TREE_ALGORITHMS)
 JQPG_ALGS = ("GREEDY", "II-RANDOM", "II-GREEDY", "DP-LD", "ZSTREAM-ORD", "DP-B")
+DP_LD_MAX_N = 22
 
 
 @dataclass(frozen=True)
@@ -52,96 +54,102 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = (3, 4, 5)
     per_size: int = 2
     algorithms: tuple[str, ...] = ORDER_ALGS + TREE_ALGS
-    dp_ld_max_n: int = 22
     dp_b_max_n: int = 12
     seed: int = 0
 
     def skip(self, algorithm: str, n: int) -> bool:
         """DP caps: the paper reports 50 h for DP-B at n=22 (Fig 17b)."""
-        if algorithm == "DP-LD" and n > self.dp_ld_max_n:
-            return True
-        if algorithm in ("DP-B", "ZSTREAM", "ZSTREAM-ORD") and n > self.dp_b_max_n:
-            return True
-        return False
+        if algorithm == "DP-LD":
+            return n > DP_LD_MAX_N
+        return algorithm in ("DP-B", "ZSTREAM", "ZSTREAM-ORD") and n > self.dp_b_max_n
 
 
-@dataclass
 class Workbench:
-    """Cached stream + statistics + Spark events shared across tables."""
+    """Cached stream + statistics + Spark events shared by one table's calls.
 
-    spark: SparkSession
-    cfg: ExperimentConfig
-    events_pdf: object = field(init=False)
-    stats: StreamStatistics = field(init=False)
-    events: object = field(init=False)
+    A context manager: leaving the ``with`` block unpersists the events.
+    """
 
-    def __post_init__(self) -> None:
-        self.events_pdf = stock_events_pdf(self.cfg.stream)
-        self.stats = estimate(
-            self.events_pdf, self.cfg.stream.duration, seed=self.cfg.seed
+    def __init__(self, spark: SparkSession, cfg: ExperimentConfig) -> None:
+        self.spark = spark
+        self.cfg = cfg
+        self.events_pdf = stock_events_pdf(cfg.stream)
+        self.stats: StreamStatistics = estimate(
+            self.events_pdf, cfg.stream.duration, seed=cfg.seed
         )
-        self.events = self.spark.createDataFrame(self.events_pdf).persist()
+        self.events = spark.createDataFrame(self.events_pdf).persist()
         # One action both fills the cache and measures the stream for
         # every run_join call.
         self.measured = _measured_window_counts(self.events)
 
-    def close(self) -> None:
+    def __enter__(self) -> "Workbench":
+        return self
+
+    def __exit__(self, *exc) -> None:
         self.events.unpersist()
 
     # ------------------------------------------------------------------
+    def calls(self, algorithms) -> Iterator[tuple[str, Pattern, str]]:
+        """``(category, pattern, algorithm)`` for every pattern of
+        ``cfg.categories`` and every algorithm the DP caps allow."""
+        cfg = self.cfg
+        for category in cfg.categories:
+            for pattern in make_pattern_set(
+                category, cfg.sizes, cfg.per_size, self.stats,
+                cfg.stream.window, seed=cfg.seed,
+            ):
+                for alg in algorithms:
+                    if not cfg.skip(alg, pattern.size):
+                        yield category, pattern, alg
+
     def rates_of(self, pattern: Pattern) -> dict[str, float]:
         subs = pattern.subpatterns if pattern.op is Op.OR else (pattern,)
         return self.stats.rates_for(t for sp in subs for t in sp.types)
+
+    def _plan(self, pattern: Pattern, algorithm: str, **kw) -> list[PlannedPattern]:
+        return plan_pattern(
+            pattern, self.rates_of(pattern), algorithm, seed=self.cfg.seed, **kw
+        )
 
     def run_join(
         self, pattern: Pattern, algorithm: str, *, alpha=0.0, strategy="any"
     ) -> dict:
         """Plan + execute on the join engine; one result row."""
-        planned = plan_pattern(
-            pattern,
-            self.rates_of(pattern),
-            algorithm,
-            alpha=alpha,
-            strategy=strategy,
-            seed=self.cfg.seed,
-        )
+        planned = self._plan(pattern, algorithm, alpha=alpha, strategy=strategy)
         _, m = execute_pattern(
             self.spark, self.events, planned, strategy=strategy,
             measured=self.measured,
         )
-        return {
-            "algorithm": algorithm,
-            "kind": ALGORITHM_KIND[algorithm],
-            "size": pattern.size,
-            "throughput": m.throughput,
-            "memory": m.memory_proxy,
-            "matches": m.n_matches,
-            "latency": m.latency_surrogate,
-            "raw_cost": float(sum(pp.raw_cost for pp in planned)),
-            "gen_seconds": float(sum(pp.gen_seconds for pp in planned)),
-        }
+        return _row(pattern, algorithm, planned, m)
 
-
-# ---------------------------------------------------------------------------
-# Tables 1 & 2 — Figures 4–5 and 6–15
-# ---------------------------------------------------------------------------
-
-
-def _grid_rows(bench: Workbench, categories, sizes, per_size) -> list[dict]:
-    rows = []
-    for category in categories:
-        patterns = make_pattern_set(
-            category, sizes, per_size, bench.stats, bench.cfg.stream.window,
-            seed=bench.cfg.seed,
+    def run_event(self, pattern: Pattern, algorithm: str, *, strategy: str) -> dict:
+        """Plan + detect on the event engine; one result row."""
+        if not pattern.is_pure():
+            # Checked here, before planning; the detectors check it only
+            # inside a Spark task.
+            raise ValueError("the event engine runs pure SEQ/AND patterns only")
+        (pp,) = self._plan(pattern, algorithm, strategy=strategy)
+        _, m = run_metrics(
+            self.spark, self.events, pattern, pp.order_plan or pp.tree_plan,
+            strategy=strategy,
         )
-        for pattern in patterns:
-            for alg in bench.cfg.algorithms:
-                if bench.cfg.skip(alg, pattern.size):
-                    continue
-                row = bench.run_join(pattern, alg)
-                row["category"] = category
-                rows.append(row)
-    return rows
+        return _row(pattern, algorithm, [pp], m)
+
+
+def _row(
+    pattern: Pattern, algorithm: str, planned: list[PlannedPattern], m: ExecutionMetrics
+) -> dict:
+    return {
+        "algorithm": algorithm,
+        "kind": ALGORITHM_KIND[algorithm],
+        "size": pattern.size,
+        "throughput": m.throughput,
+        "memory": m.memory_proxy,
+        "matches": m.n_matches,
+        "latency": m.latency_surrogate,
+        "raw_cost": float(sum(pp.raw_cost for pp in planned)),
+        "gen_seconds": float(sum(pp.gen_seconds for pp in planned)),
+    }
 
 
 def _avg(rows, keys, metrics=("throughput", "memory")) -> list[dict]:
@@ -159,35 +167,35 @@ def _avg(rows, keys, metrics=("throughput", "memory")) -> list[dict]:
     return out
 
 
+def _join_rows(spark: SparkSession, cfg: ExperimentConfig) -> list[dict]:
+    """One join-engine row per call of ``cfg.algorithms``."""
+    with Workbench(spark, cfg) as bench:
+        return [
+            bench.run_join(pattern, alg) | {"category": category}
+            for category, pattern, alg in bench.calls(cfg.algorithms)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Tables 1 & 2 — Figures 4–5 and 6–15
+# ---------------------------------------------------------------------------
+
+
+def _grid(spark: SparkSession, cfg: ExperimentConfig, keys: tuple[str, ...]):
+    rows = _avg(_join_rows(spark, cfg), keys)
+    return rows, format_table(rows, [*keys, "throughput", "memory", "n"])
+
+
 def table1(spark: SparkSession, cfg: ExperimentConfig | None = None):
     """Figs 4–5: avg throughput & memory per category × algorithm."""
-    cfg = cfg or ExperimentConfig()
-    bench = Workbench(spark, cfg)
-    try:
-        raw = _grid_rows(bench, cfg.categories, cfg.sizes, cfg.per_size)
-    finally:
-        bench.close()
-    rows = _avg(raw, ("category", "kind", "algorithm"))
-    text = format_table(
-        rows, ["category", "kind", "algorithm", "throughput", "memory", "n"]
-    )
-    return rows, text
+    return _grid(spark, cfg or ExperimentConfig(), ("category", "kind", "algorithm"))
 
 
 def table2(spark: SparkSession, cfg: ExperimentConfig | None = None):
     """Figs 6–15: throughput & memory as a function of pattern size."""
-    cfg = cfg or ExperimentConfig()
-    bench = Workbench(spark, cfg)
-    try:
-        raw = _grid_rows(bench, cfg.categories, cfg.sizes, cfg.per_size)
-    finally:
-        bench.close()
-    rows = _avg(raw, ("category", "size", "kind", "algorithm"))
-    text = format_table(
-        rows,
-        ["category", "size", "kind", "algorithm", "throughput", "memory", "n"],
+    return _grid(
+        spark, cfg or ExperimentConfig(), ("category", "size", "kind", "algorithm")
     )
-    return rows, text
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +212,6 @@ def table3(spark: SparkSession, cfg: ExperimentConfig | None = None):
     and the Spearman correlation of memory vs cost (≈ linear).
     """
     cfg = cfg or ExperimentConfig(categories=("sequence", "conjunction"))
-    bench = Workbench(spark, cfg)
-    try:
-        raw = _grid_rows(bench, cfg.categories, cfg.sizes, cfg.per_size)
-    finally:
-        bench.close()
     rows = [
         {
             "algorithm": r["algorithm"],
@@ -218,7 +221,7 @@ def table3(spark: SparkSession, cfg: ExperimentConfig | None = None):
             "throughput": r["throughput"],
             "memory": r["memory"],
         }
-        for r in raw
+        for r in _join_rows(spark, cfg)
     ]
     cost = np.array([r["cost"] for r in rows])
     thr = np.array([r["throughput"] for r in rows])
@@ -340,23 +343,13 @@ def table5(
 ):
     """Fig 18: throughput and latency of the 6 JQPG planners per α."""
     cfg = cfg or ExperimentConfig(categories=("sequence",))
-    bench = Workbench(spark, cfg)
-    try:
-        patterns = make_pattern_set(
-            "sequence", cfg.sizes, cfg.per_size, bench.stats,
-            cfg.stream.window, seed=cfg.seed,
-        )
-        raw = []
-        for alpha in alphas:
-            for pattern in patterns:
-                for alg in algorithms:
-                    if cfg.skip(alg, pattern.size):
-                        continue
-                    row = bench.run_join(pattern, alg, alpha=alpha)
-                    row["alpha"] = alpha
-                    raw.append(row)
-    finally:
-        bench.close()
+    with Workbench(spark, cfg) as bench:
+        calls = list(bench.calls(algorithms))
+        raw = [
+            bench.run_join(pattern, alg, alpha=alpha) | {"alpha": alpha}
+            for alpha in alphas
+            for _, pattern, alg in calls
+        ]
     rows = _avg(raw, ("algorithm", "alpha"), metrics=("throughput", "latency"))
     text = format_table(rows, ["algorithm", "alpha", "throughput", "latency", "n"])
     return rows, text
@@ -382,41 +375,13 @@ def table6(
     join dataflow cannot express (DESIGN.md §3).
     """
     cfg = cfg or ExperimentConfig(categories=("sequence",))
-    bench = Workbench(spark, cfg)
-    try:
-        patterns = make_pattern_set(
-            "sequence", cfg.sizes, cfg.per_size, bench.stats,
-            cfg.stream.window, seed=cfg.seed,
-        )
-        raw = []
-        for strategy in strategies:
-            for pattern in patterns:
-                for alg in cfg.algorithms:
-                    if cfg.skip(alg, pattern.size):
-                        continue
-                    planned = plan_pattern(
-                        pattern,
-                        bench.rates_of(pattern),
-                        alg,
-                        strategy=strategy,
-                        seed=cfg.seed,
-                    )[0]
-                    plan = planned.order_plan or planned.tree_plan
-                    _, m = run_metrics(
-                        spark, bench.events, pattern, plan, strategy=strategy
-                    )
-                    raw.append(
-                        {
-                            "strategy": strategy,
-                            "algorithm": alg,
-                            "kind": ALGORITHM_KIND[alg],
-                            "throughput": m.throughput,
-                            "memory": m.memory_proxy,
-                            "matches": m.n_matches,
-                        }
-                    )
-    finally:
-        bench.close()
+    with Workbench(spark, cfg) as bench:
+        calls = list(bench.calls(cfg.algorithms))
+        raw = [
+            bench.run_event(pattern, alg, strategy=strategy) | {"strategy": strategy}
+            for strategy in strategies
+            for _, pattern, alg in calls
+        ]
     rows = _avg(
         raw, ("strategy", "kind", "algorithm"),
         metrics=("throughput", "memory", "matches"),

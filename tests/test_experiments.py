@@ -1,15 +1,19 @@
 """Tests for the experiment harnesses (repro.experiments) at tiny scale."""
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.pattern import disj, seq
+from repro.experiments import report
 from repro.experiments.report import format_table, save_table
 from repro.experiments.tables import (
     ExperimentConfig,
     Workbench,
     table1,
+    table2,
+    table3,
     table4,
     table5,
     table6,
@@ -37,6 +41,19 @@ def test_rates_of_unseen_symbol_is_zero():
     }
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        seq("ABC", window=60.0, negated=(1,)),
+        seq("ABC", window=60.0, kleene=(1,)),
+        disj([seq("AB", window=60.0), seq("C", window=60.0)]),
+    ],
+)
+def test_run_event_rejects_impure_pattern_before_spark(pattern):
+    with pytest.raises(ValueError, match="pure SEQ/AND"):
+        Workbench.run_event(SimpleNamespace(), pattern, "DP-LD", strategy="any")
+
+
 class TestReport:
     def test_format_table_alignment(self):
         text = format_table(
@@ -53,26 +70,62 @@ class TestReport:
         text = format_table([{"a": 1}], ["a", "b"])
         assert "b" in text
 
-    def test_save_table(self, tmp_path):
-        path = save_table("t", "hello", results_dir=str(tmp_path))
-        assert os.path.exists(path)
+    def test_save_table(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+        path = save_table("t", "hello")
+        assert path == os.path.join(str(tmp_path), "t.txt")
         assert open(path).read() == "hello\n"
 
 
 class TestConfig:
     def test_dp_caps(self):
-        cfg = ExperimentConfig(dp_ld_max_n=5, dp_b_max_n=4)
-        assert cfg.skip("DP-LD", 6) and not cfg.skip("DP-LD", 5)
+        cfg = ExperimentConfig(dp_b_max_n=4)
+        assert cfg.skip("DP-LD", 23) and not cfg.skip("DP-LD", 22)
         assert cfg.skip("DP-B", 5) and cfg.skip("ZSTREAM", 5)
         assert not cfg.skip("GREEDY", 100)
 
 
+def n_calls(cfg: ExperimentConfig) -> int:
+    """Calls of a sequence-only config: one pattern per size and k, and
+    every algorithm the DP caps allow at that size."""
+    return sum(
+        not cfg.skip(alg, size)
+        for size in cfg.sizes
+        for _ in range(cfg.per_size)
+        for alg in cfg.algorithms
+    )
+
+
 class TestTables:
+    def test_workbench_unpersists_when_body_raises(self, spark):
+        with pytest.raises(RuntimeError, match="body"):
+            with Workbench(spark, TINY) as bench:
+                assert bench.events.is_cached
+                raise RuntimeError("body")
+        assert not bench.events.is_cached
+        assert not bench.events.storageLevel.useMemory
+
     def test_table1_tiny(self, spark):
         rows, text = table1(spark, TINY)
         assert {r["algorithm"] for r in rows} == set(TINY.algorithms)
         assert all(r["throughput"] > 0 for r in rows)
         assert "sequence" in text
+
+    def test_table2_n_sums_to_calls(self, spark):
+        cfg = replace(TINY, sizes=(3, 4), dp_b_max_n=3)
+        rows, _ = table2(spark, cfg)
+        assert sum(r["n"] for r in rows) == n_calls(cfg) == 7
+        assert {(r["size"], r["algorithm"]) for r in rows} == {
+            (3, "TRIVIAL"), (3, "EFREQ"), (3, "DP-LD"), (3, "DP-B"),
+            (4, "TRIVIAL"), (4, "EFREQ"), (4, "DP-LD"),
+        }
+
+    def test_table3_one_row_per_call(self, spark):
+        result, _ = table3(spark, TINY)
+        rows = result["rows"]
+        assert len(rows) == n_calls(TINY)
+        assert all(r["cost"] > 0 for r in rows)
+        assert result["summary"]["n_plans"] == len(rows)
 
     def test_table4_planner_only(self):
         rows, _ = table4(None, TINY, sizes=(3, 5), per_size=1)

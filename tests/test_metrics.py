@@ -21,11 +21,10 @@ class TestExecutionMetrics:
     def test_memory_proxy_sums(self):
         m = make(intermediate_counts=[10, 20, 5])
         assert m.memory_proxy == 35
-        assert m.peak_stage == 20
 
     def test_empty_counts(self):
         m = make()
-        assert m.memory_proxy == 0 and m.peak_stage == 0
+        assert m.memory_proxy == 0
 
     def test_merged_with(self):
         a = make(

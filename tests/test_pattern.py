@@ -42,15 +42,6 @@ class TestPattern:
     def test_positive(self):
         assert seq("ABCD", negated=(1, 3)).positive() == (0, 2)
 
-    def test_predicates_between(self):
-        p = conj("ABC", (Predicate(0, 2, sel=0.5), Predicate(0, 1, sel=0.2)))
-        assert p.predicates_between(2, 0) == (Predicate(0, 2, sel=0.5),)
-        assert p.predicates_between(1, 2) == ()
-
-    def test_with_predicates(self):
-        p = conj("AB").with_predicates((Predicate(0, 1, sel=0.1),))
-        assert len(p.predicates) == 1
-
     def test_window_positive(self):
         with pytest.raises(ValueError):
             seq("AB", window=0)

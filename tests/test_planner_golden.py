@@ -24,8 +24,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cost_model import Objective, cost_ord, cost_tree
 from repro.core.pattern import Op
-from repro.core.planner import plan_pattern
+from repro.core.planner import PLANNERS, plan_pattern
+from repro.core.plans import OrderPlan
+from repro.core.stats import PatternStats
 from repro.experiments.tables import ORDER_ALGS, TREE_ALGS
 from repro.streams.estimation import estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf
@@ -95,17 +98,29 @@ def _tree(node):
     return node.leaf if node.is_leaf() else [_tree(node.left), _tree(node.right)]
 
 
+def _plans(pattern, rates, planner, strategy, mode, alpha):
+    """``(plan, objective cost, raw cost)`` per subplan. ``plan_pattern``
+    plans in the exact temporal mode; the pairwise mode (Theorem 3's
+    literal reduction) runs the planner on its own statistics."""
+    if mode == "exact":
+        return [
+            (pp.order_plan or pp.tree_plan, pp.objective_cost, pp.raw_cost)
+            for pp in plan_pattern(pattern, rates, planner, alpha=alpha, strategy=strategy)
+        ]
+    stats = PatternStats.from_pattern(pattern, rates, temporal_mode=mode)
+    res = PLANNERS[planner](Objective(stats, alpha=alpha, strategy=strategy))
+    raw = cost_ord if isinstance(res.plan, OrderPlan) else cost_tree
+    return [(res.plan, res.cost, raw(res.plan, stats))]
+
+
 def _record(pattern, rates, planner, strategy, mode, alpha):
-    planned = plan_pattern(
-        pattern, rates, planner, alpha=alpha, strategy=strategy, temporal_mode=mode
-    )
     return [
         [
-            list(pp.order_plan.order) if pp.kind == "order" else _tree(pp.tree_plan.root),
-            pp.objective_cost.hex(),
-            pp.raw_cost.hex(),
+            list(plan.order) if isinstance(plan, OrderPlan) else _tree(plan.root),
+            cost.hex(),
+            raw_cost.hex(),
         ]
-        for pp in planned
+        for plan, cost, raw_cost in _plans(pattern, rates, planner, strategy, mode, alpha)
     ]
 
 
