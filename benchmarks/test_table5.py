@@ -2,12 +2,14 @@
 import pytest
 
 from benchmarks.bench_config import bench_config, bench_table
-from repro.experiments.tables import table5
+from repro.experiments.tables import JQPG_ALGS, table5
 
 
 @pytest.mark.benchmark(group="table5")
 def test_table5_latency_tradeoff(spark, benchmark):
-    cfg = bench_config(categories=("sequence",), sizes=(4, 5), per_size=1)
+    cfg = bench_config(
+        categories=("sequence",), sizes=(4, 5), per_size=1, algorithms=JQPG_ALGS
+    )
     rows = bench_table(
         benchmark, "[Table 5 | Fig 18] throughput vs latency per alpha",
         table5, spark, cfg,

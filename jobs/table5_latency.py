@@ -7,7 +7,7 @@ import sys
 sys.path.insert(0, ".")
 
 from jobs._common import base_parser, config_from, run
-from repro.experiments.tables import table5
+from repro.experiments.tables import JQPG_ALGS, table5
 
 
 def main() -> None:
@@ -15,7 +15,7 @@ def main() -> None:
     p.add_argument("--alphas", type=float, nargs="+", default=[0.0, 0.5, 1.0])
     args = p.parse_args()
     run(
-        "table5", table5, config_from(args, categories=("sequence",)),
+        "table5", table5, config_from(args, categories=("sequence",), algorithms=JQPG_ALGS),
         alphas=tuple(args.alphas),
     )
 

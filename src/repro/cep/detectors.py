@@ -97,8 +97,6 @@ def _check(pattern: Pattern, a: _Event, b: _Event, strategy: str) -> bool:
 def _events_of(window: pd.DataFrame, pattern: Pattern) -> list[_Event]:
     """Window rows → `_Event`s for positions of this pattern, serial order."""
     pos_of = {t: i for i, t in enumerate(pattern.types)}
-    if len(pos_of) != len(pattern.types):
-        raise ValueError("event engine requires distinct types per pattern")
     out = []
     sub = window[window["symbol"].isin(pos_of)].sort_values("serial")
     for row in sub.itertuples(index=False):
@@ -114,6 +112,8 @@ def _validate(pattern: Pattern, strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not pattern.is_pure():
         raise ValueError("event detectors support pure SEQ/AND patterns only")
+    if len(set(pattern.types)) != len(pattern.types):
+        raise ValueError("event engine requires distinct types per pattern")
 
 
 def detect_order(

@@ -28,7 +28,7 @@ from pyspark.sql import types as T
 
 from repro.core.pattern import Pattern
 from repro.core.plans import OrderPlan, TreePlan
-from .detectors import DetectorResult, detect_order, detect_tree
+from .detectors import DetectorResult, _validate, detect_order, detect_tree
 from .metrics import ExecutionMetrics
 
 _METRIC_SCHEMA = T.StructType(
@@ -60,6 +60,7 @@ def run_metrics(
     strategy: str = "any",
 ) -> tuple[pd.DataFrame, ExecutionMetrics]:
     """Detect per window; return (per-window rows, aggregated metrics)."""
+    _validate(pattern, strategy)
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         r = _detect(pdf, pattern, plan, strategy)
@@ -102,6 +103,7 @@ def run_matches(
     strategy: str = "any",
 ) -> DataFrame:
     """Detect per window; return the match id tuples as a DataFrame."""
+    _validate(pattern, strategy)
     n = len(pattern.types)
     cols = [f"p{i}_id" for i in range(n)]
     schema = T.StructType([T.StructField(c, T.LongType()) for c in cols])

@@ -180,7 +180,7 @@ def _apply_negations(
     pattern: Pattern,
     bound: set[int],
     pending: dict[int, frozenset[int]],
-    wid: str = "wid",
+    wid: str,
 ) -> DataFrame:
     """Left-anti join every negated position whose dependencies are bound
     (§5.3: the absence check runs at the earliest possible point), and

@@ -402,17 +402,17 @@ class Objective:
         index, base = _batch(orders, base, st.n)
         pms = self._prefix_term(self.prefix_pm_rows(index, base).T)
         last = st.last_seq_position
-        lat = None
-        if self.alpha != 0.0 and last is not None:
-            # lat_step's rule without bitmasks, which overflow int64 past 63 positions.
+        lat = self.alpha != 0.0 and last is not None
+        if lat:
+            # lat_step's rule by position: int64 masks overflow past 63 positions.
+            steps = (self.alpha * st.counts[base] / self.lat_ref).take(index.positions)
             is_last = (base == last).take(index.positions)
-            last_before = (np.cumsum(is_last, axis=0) - is_last).astype(bool)
-            counts = st.counts[base].take(index.positions)
-            lat = np.where(last_before, self.alpha * counts / self.lat_ref, 0.0)
+            after = np.zeros(pms.shape[1], dtype=bool)
         total = np.zeros(pms.shape[1])
         for k, pm in enumerate(pms):
-            if lat is not None:
-                total += lat[k]
+            if lat:
+                total += np.where(after, steps[k], 0.0)
+                after |= is_last[k]
             total += pm
         return total
 

@@ -66,8 +66,6 @@ class PatternStats:
     positions:
         For each planning position, the index in the original pattern
         (positive positions only, in pattern order).
-    kleene:
-        Planning positions that carry a Kleene operator.
     last_seq_position:
         Planning position of the temporally last positive event of a SEQ
         pattern (the paper's T_n in §6.1), or ``None`` for AND patterns.
@@ -79,7 +77,6 @@ class PatternStats:
     seq_members: int = 0
     temporal_mode: str = "exact"
     positions: tuple[int, ...] = ()
-    kleene: frozenset[int] = frozenset()
     last_seq_position: int | None = None
 
     # ------------------------------------------------------------------
@@ -136,7 +133,6 @@ class PatternStats:
             seq_members=seq_members,
             temporal_mode=mode,
             positions=pos,
-            kleene=frozenset(back[i] for i in pattern.kleene if i in back),
             last_seq_position=last,
         )
 

@@ -38,6 +38,7 @@ from .report import format_table
 ORDER_ALGS = tuple(ORDER_ALGORITHMS)
 TREE_ALGS = tuple(TREE_ALGORITHMS)
 JQPG_ALGS = ("GREEDY", "II-RANDOM", "II-GREEDY", "DP-LD", "ZSTREAM-ORD", "DP-B")
+FIG17_ALGS = ("EFREQ", "GREEDY", "II-GREEDY", "DP-LD", "ZSTREAM", "DP-B")
 DP_LD_MAX_N = 22
 
 
@@ -45,8 +46,9 @@ DP_LD_MAX_N = 22
 class ExperimentConfig:
     """Scale knobs shared by the experiment harnesses.
 
-    Benchmarks use the defaults; the ``jobs/`` entrypoints expose them as
-    CLI flags for paper-scale runs.
+    Every table reads only its config. The benchmarks build theirs with
+    ``bench_config``; the ``jobs/`` entrypoints expose them as CLI flags
+    for paper-scale runs.
     """
 
     stream: StreamConfig = StreamConfig()
@@ -124,16 +126,15 @@ class Workbench:
 
     def run_event(self, pattern: Pattern, algorithm: str, *, strategy: str) -> dict:
         """Plan + detect on the event engine; one result row."""
-        if not pattern.is_pure():
-            # Checked here, before planning; the detectors check it only
-            # inside a Spark task.
-            raise ValueError("the event engine runs pure SEQ/AND patterns only")
-        (pp,) = self._plan(pattern, algorithm, strategy=strategy)
+        planned = self._plan(pattern, algorithm, strategy=strategy)
+        # An OR pattern plans one entry per subpattern; run_metrics rejects
+        # it, like every impure pattern, before Spark starts.
+        pp = planned[0]
         _, m = run_metrics(
             self.spark, self.events, pattern, pp.order_plan or pp.tree_plan,
             strategy=strategy,
         )
-        return _row(pattern, algorithm, [pp], m)
+        return _row(pattern, algorithm, planned, m)
 
 
 def _row(
@@ -186,16 +187,14 @@ def _grid(spark: SparkSession, cfg: ExperimentConfig, keys: tuple[str, ...]):
     return rows, format_table(rows, [*keys, "throughput", "memory", "n"])
 
 
-def table1(spark: SparkSession, cfg: ExperimentConfig | None = None):
+def table1(spark: SparkSession, cfg: ExperimentConfig):
     """Figs 4–5: avg throughput & memory per category × algorithm."""
-    return _grid(spark, cfg or ExperimentConfig(), ("category", "kind", "algorithm"))
+    return _grid(spark, cfg, ("category", "kind", "algorithm"))
 
 
-def table2(spark: SparkSession, cfg: ExperimentConfig | None = None):
+def table2(spark: SparkSession, cfg: ExperimentConfig):
     """Figs 6–15: throughput & memory as a function of pattern size."""
-    return _grid(
-        spark, cfg or ExperimentConfig(), ("category", "size", "kind", "algorithm")
-    )
+    return _grid(spark, cfg, ("category", "size", "kind", "algorithm"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def table2(spark: SparkSession, cfg: ExperimentConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def table3(spark: SparkSession, cfg: ExperimentConfig | None = None):
+def table3(spark: SparkSession, cfg: ExperimentConfig):
     """Fig 16: measured throughput/memory vs the plan's §4 cost.
 
     Executes a spread of plans (all algorithms × patterns), then reports
@@ -211,7 +210,6 @@ def table3(spark: SparkSession, cfg: ExperimentConfig | None = None):
     the log–log slope of throughput vs cost (≈ −c, the paper's 1/x^c)
     and the Spearman correlation of memory vs cost (≈ linear).
     """
-    cfg = cfg or ExperimentConfig(categories=("sequence", "conjunction"))
     rows = [
         {
             "algorithm": r["algorithm"],
@@ -257,37 +255,23 @@ def table3(spark: SparkSession, cfg: ExperimentConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def table4(
-    spark: SparkSession | None = None,
-    cfg: ExperimentConfig | None = None,
-    *,
-    sizes: tuple[int, ...] = (3, 6, 9, 12, 14, 16),
-    per_size: int = 3,
-    algorithms: tuple[str, ...] = (
-        "EFREQ",
-        "GREEDY",
-        "II-GREEDY",
-        "DP-LD",
-        "ZSTREAM",
-        "DP-B",
-    ),
-):
+def table4(spark: None, cfg: ExperimentConfig):
     """Fig 17: normalized plan cost & generation time vs pattern size.
 
-    Pure planner benchmark — no execution. ``normalized cost`` follows the
-    paper: cost of the plan generated by the empirically worst algorithm
-    (EFREQ) divided by this plan's cost (higher is better). Needs only
-    statistics, so the stream is never materialized in Spark.
+    Pure planner benchmark — no execution, so ``spark`` is ``None``.
+    ``normalized cost`` follows the paper: cost of the plan generated by
+    the empirically worst algorithm (EFREQ) divided by this plan's cost
+    (higher is better). Needs only statistics, so the stream is never
+    materialized in Spark. Plans ``cfg.per_size`` sequence patterns of
+    each of ``cfg.sizes`` with ``cfg.algorithms``; like Fig 17 it does not
+    read ``cfg.categories``.
     """
-    cfg = cfg or ExperimentConfig(
-        stream=StreamConfig(n_symbols=max(24, max(sizes) + 2))
-    )
     events_pdf = stock_events_pdf(cfg.stream)
     stats = estimate(events_pdf, cfg.stream.duration, seed=cfg.seed)
     rows = []
-    for size in sizes:
-        per_alg: dict[str, list[dict]] = {a: [] for a in algorithms}
-        for k in range(per_size):
+    for size in cfg.sizes:
+        per_alg: dict[str, list[dict]] = {a: [] for a in cfg.algorithms}
+        for k in range(cfg.per_size):
             pattern = make_pattern(
                 "sequence", size, stats, cfg.stream.window, seed=cfg.seed + 997 * size + k
             )
@@ -299,7 +283,7 @@ def table4(
             base_tree = Objective(base.stats).tree_cost(
                 left_deep_tree(base.order_plan.order)
             )
-            for alg in algorithms:
+            for alg in cfg.algorithms:
                 if cfg.skip(alg, size):
                     continue
                 pp = plan_simple(pattern, rates, alg, seed=cfg.seed)
@@ -310,21 +294,12 @@ def table4(
                         "gen_seconds": pp.gen_seconds,
                     }
                 )
-        for alg in algorithms:
-            if not per_alg[alg]:
-                continue
-            rows.append(
-                {
-                    "size": size,
-                    "algorithm": alg,
-                    "norm_cost": float(
-                        np.mean([r["norm_cost"] for r in per_alg[alg]])
-                    ),
-                    "gen_seconds": float(
-                        np.mean([r["gen_seconds"] for r in per_alg[alg]])
-                    ),
-                }
-            )
+        rows += [
+            {"size": size, "algorithm": alg}
+            | {m: float(np.mean([r[m] for r in runs])) for m in ("norm_cost", "gen_seconds")}
+            for alg, runs in per_alg.items()
+            if runs
+        ]
     text = format_table(rows, ["size", "algorithm", "norm_cost", "gen_seconds"])
     return rows, text
 
@@ -336,15 +311,14 @@ def table4(
 
 def table5(
     spark: SparkSession,
-    cfg: ExperimentConfig | None = None,
+    cfg: ExperimentConfig,
     *,
     alphas: tuple[float, ...] = (0.0, 0.5, 1.0),
-    algorithms: tuple[str, ...] = JQPG_ALGS,
 ):
-    """Fig 18: throughput and latency of the 6 JQPG planners per α."""
-    cfg = cfg or ExperimentConfig(categories=("sequence",))
+    """Fig 18: throughput and latency of ``cfg.algorithms`` (the paper's
+    are the 6 JQPG planners) per α."""
     with Workbench(spark, cfg) as bench:
-        calls = list(bench.calls(algorithms))
+        calls = list(bench.calls(cfg.algorithms))
         raw = [
             bench.run_join(pattern, alg, alpha=alpha) | {"alpha": alpha}
             for alpha in alphas
@@ -362,7 +336,7 @@ def table5(
 
 def table6(
     spark: SparkSession,
-    cfg: ExperimentConfig | None = None,
+    cfg: ExperimentConfig,
     *,
     strategies: tuple[str, ...] = ("any", "next", "contiguity"),
 ):
@@ -374,7 +348,6 @@ def table6(
     that makes TRIVIAL win under contiguity are sequential semantics the
     join dataflow cannot express (DESIGN.md §3).
     """
-    cfg = cfg or ExperimentConfig(categories=("sequence",))
     with Workbench(spark, cfg) as bench:
         calls = list(bench.calls(cfg.algorithms))
         raw = [

@@ -5,10 +5,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cep.event_engine import run_matches, run_metrics
 from repro.core.pattern import disj, seq
-from repro.experiments import report
+from repro.core.plans import OrderPlan
+from repro.experiments import report, tables
 from repro.experiments.report import format_table, save_table
 from repro.experiments.tables import (
+    FIG17_ALGS,
     ExperimentConfig,
     Workbench,
     table1,
@@ -41,17 +44,22 @@ def test_rates_of_unseen_symbol_is_zero():
     }
 
 
+@pytest.mark.parametrize("run", [run_metrics, run_matches])
 @pytest.mark.parametrize(
-    "pattern",
+    "pattern, strategy, message",
     [
-        seq("ABC", window=60.0, negated=(1,)),
-        seq("ABC", window=60.0, kleene=(1,)),
-        disj([seq("AB", window=60.0), seq("C", window=60.0)]),
+        (seq("ABC", window=60.0, negated=(1,)), "any", "pure SEQ/AND"),
+        (seq("ABC", window=60.0, kleene=(1,)), "any", "pure SEQ/AND"),
+        (disj([seq("AB", window=60.0), seq("C", window=60.0)]), "any", "pure SEQ/AND"),
+        (seq("ABC", window=60.0), "bogus", "unknown strategy"),
+        (seq("ABA", window=60.0), "any", "distinct types"),
     ],
+    ids=["negation", "kleene", "disjunction", "strategy", "duplicate-types"],
 )
-def test_run_event_rejects_impure_pattern_before_spark(pattern):
-    with pytest.raises(ValueError, match="pure SEQ/AND"):
-        Workbench.run_event(SimpleNamespace(), pattern, "DP-LD", strategy="any")
+def test_event_engine_rejects_bad_input_before_spark(run, pattern, strategy, message):
+    # No session and no events: the check runs on the driver, before any query.
+    with pytest.raises(ValueError, match=message):
+        run(None, None, pattern, OrderPlan((0, 1, 2)), strategy=strategy)
 
 
 class TestReport:
@@ -128,7 +136,7 @@ class TestTables:
         assert result["summary"]["n_plans"] == len(rows)
 
     def test_table4_planner_only(self):
-        rows, _ = table4(None, TINY, sizes=(3, 5), per_size=1)
+        rows, _ = table4(None, replace(TINY, sizes=(3, 5), algorithms=FIG17_ALGS))
         by = {(r["size"], r["algorithm"]) for r in rows}
         assert (3, "DP-LD") in by and (5, "GREEDY") in by
         efreq = [r for r in rows if r["algorithm"] == "EFREQ"]
@@ -139,10 +147,26 @@ class TestTables:
             if r["algorithm"] == "DP-LD"
         )
 
+    def test_table4_reads_sizes_counts_and_planners_from_cfg(self, monkeypatch):
+        made, original = [], tables.make_pattern
+
+        def make_pattern(category, size, *args, **kw):
+            made.append((category, size))
+            return original(category, size, *args, **kw)
+
+        monkeypatch.setattr(tables, "make_pattern", make_pattern)
+        cfg = replace(TINY, categories=("conjunction",), sizes=(3, 4), per_size=2,
+                      algorithms=("GREEDY", "DP-LD"))
+        rows, _ = table4(None, cfg)
+        assert made == [("sequence", 3)] * 2 + [("sequence", 4)] * 2
+        assert [(r["size"], r["algorithm"]) for r in rows] == [
+            (3, "GREEDY"), (3, "DP-LD"), (4, "GREEDY"), (4, "DP-LD"),
+        ]
+
     def test_table5_tiny(self, spark):
-        rows, _ = table5(
-            spark, TINY, alphas=(0.0, 1.0), algorithms=("GREEDY", "DP-LD")
-        )
+        cfg = replace(TINY, algorithms=("GREEDY", "DP-LD"))
+        rows, _ = table5(spark, cfg, alphas=(0.0, 1.0))
+        assert {r["algorithm"] for r in rows} == {"GREEDY", "DP-LD"}
         assert {r["alpha"] for r in rows} == {0.0, 1.0}
         by = {(r["algorithm"], r["alpha"]): r for r in rows}
         assert by[("DP-LD", 1.0)]["latency"] <= by[("DP-LD", 0.0)]["latency"] + 1e-9

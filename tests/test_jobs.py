@@ -15,7 +15,7 @@ JOBS = {
     "table1_throughput_memory": (tables.table1, ["--sizes", "3", "4", "5"]),
     "table2_by_size": (tables.table2, ["--sizes", "3", "4", "5", "6", "7"]),
     "table3_cost_validation": (tables.table3, []),
-    "table4_large_plans": (tables.table4, ["--plan-sizes", "3", "6", "9", "12", "16", "20", "22"]),
+    "table4_large_plans": (tables.table4, ["--sizes", "3", "6", "9", "12", "16", "20", "22"]),
     "table5_latency": (tables.table5, ["--alphas", "0", "0.5", "1"]),
     "table6_selection_strategies": (tables.table6, []),
 }
@@ -46,7 +46,7 @@ def test_job_runs_its_table(main_call, name):
     assert cfg.seed == 0 and cfg.per_size == 3 and cfg.dp_b_max_n == 16
     assert (cfg.stream.duration, cfg.stream.window, cfg.stream.seed) == (3600.0, 60.0, 7)
     if name == "table4_large_plans":
-        assert kwargs == {"sizes": (3, 6, 9, 12, 16, 20, 22), "per_size": 3}
+        assert kwargs == {} and cfg.sizes == (3, 6, 9, 12, 16, 20, 22)
         assert cfg.stream.n_symbols >= 22 + 2
     else:
         assert cfg.stream.n_symbols == 20
@@ -54,12 +54,22 @@ def test_job_runs_its_table(main_call, name):
 
 def test_table4_job_keeps_stream_flags(main_call, monkeypatch):
     monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, [
-        "--plan-sizes", "3", "9", "--n-symbols", "30", "--duration", "600", "--window", "30",
+        "--sizes", "3", "9", "--n-symbols", "30", "--duration", "600", "--window", "30",
     ]))
     stream = main_call("table4_large_plans")[0][2].stream
     assert (stream.n_symbols, stream.duration, stream.window) == (30, 600.0, 30.0)
-    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, ["--plan-sizes", "3", "9"]))
+    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, ["--sizes", "3", "9"]))
     assert main_call("table4_large_plans")[0][2].stream.n_symbols == 20
+
+
+def test_table4_job_sizes_reach_the_table(main_call, monkeypatch):
+    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, ["--sizes", "3", "9"]))
+    (_, _, cfg), kwargs = main_call("table4_large_plans")
+    assert cfg.sizes == (3, 9) and kwargs == {}
+    assert cfg.algorithms == tables.FIG17_ALGS
+    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, []))
+    cfg = main_call("table4_large_plans")[0][2]
+    assert cfg.sizes == (3, 6, 9, 12, 14, 16, 18, 20, 22) and cfg.stream.n_symbols == 24
 
 
 def test_job_configs(main_call):
@@ -69,6 +79,7 @@ def test_job_configs(main_call):
     assert main_call("table3_cost_validation")[0][2].categories == ("sequence", "conjunction")
     (_, _, cfg), kwargs = main_call("table5_latency")
     assert cfg.categories == ("sequence",) and kwargs == {"alphas": (0.0, 0.5, 1.0)}
+    assert cfg.algorithms == tables.JQPG_ALGS
     (_, _, cfg), kwargs = main_call("table6_selection_strategies")
     assert cfg.categories == ("sequence",)
     assert kwargs == {"strategies": ("any", "next", "contiguity")}
