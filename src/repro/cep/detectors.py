@@ -21,6 +21,12 @@ Both plan kinds run under the §6.2 selection strategies:
 - ``contiguity`` — strict contiguity (global-serial adjacency between
   pattern-adjacent events) with consumption.
 
+The constraints between a node's instance and its sibling's are fixed by
+the plan, since an instance's slots follow its node's leaves. They are
+compiled once per (pattern, plan, strategy) and process into one generated
+check per node side, which makes the same comparisons in the same order as
+a walk over every predicate would. Events are plain tuples.
+
 Metrics measured per run: peak concurrent partial matches (memory),
 predicate comparisons (work), and per-match latency = comparisons
 performed between the arrival of the match's final primitive event and
@@ -32,8 +38,11 @@ latency, which the paper evaluates on pure sequences (Figs 18–19).
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 
 from repro.core.cost_model import STRATEGIES
@@ -56,55 +65,81 @@ class DetectorResult:
         return len(self.matches)
 
 
-class _Event:
-    """One primitive event (plain attributes beat dict lookups here)."""
-
-    __slots__ = ("id", "pos", "ts", "serial", "diff")
-
-    def __init__(self, id_, pos, ts, serial, diff):
-        self.id = id_
-        self.pos = pos
-        self.ts = ts
-        self.serial = serial
-        self.diff = diff
-
-
-def _check(pattern: Pattern, a: _Event, b: _Event, strategy: str) -> bool:
-    """All pattern constraints between two bound events (one comparison)."""
-    i, j = (a, b) if a.pos < b.pos else (b, a)
-    if pattern.op is Op.SEQ:
-        if not (i.ts < j.ts):
-            return False
-    elif i.pos != j.pos and i.id == j.id:
-        return False
-    if strategy == "contiguity" and j.pos == i.pos + 1:
-        if j.serial != i.serial + 1:
-            return False
-    for q in pattern.predicates:
-        if (q.i, q.j) != (i.pos, j.pos):
-            continue
-        if q.kind == "diff_lt" and not (i.diff < j.diff):
-            return False
-        if q.kind == "diff_gt" and not (i.diff > j.diff):
-            return False
-        if q.kind == "ts_lt" and not (i.ts < j.ts):
-            return False
-        if q.kind == "serial_adj" and j.serial != i.serial + 1:
-            return False
-    return True
+# The condition each predicate kind puts on the events ``{i}`` (the lower
+# pattern position) and ``{j}`` of one pair, over an event tuple's fields
+# (id, pos, ts, serial, diff); ``true`` puts none.
+_CONDITIONS = {
+    "diff_lt": "{i}[4] < {j}[4]",
+    "diff_gt": "{i}[4] > {j}[4]",
+    "ts_lt": "{i}[2] < {j}[2]",
+    "serial_adj": "{j}[3] == {i}[3] + 1",
+    "true": "",
+}
 
 
-def _events_of(window: pd.DataFrame, pattern: Pattern) -> list[_Event]:
-    """Window rows → `_Event`s for positions of this pattern, serial order."""
+def _events_of(window: pd.DataFrame, pattern: Pattern) -> list[tuple]:
+    """Window rows → ``(id, pos, ts, serial, diff)`` tuples for positions of
+    this pattern, serial order."""
     pos_of = {t: i for i, t in enumerate(pattern.types)}
-    out = []
-    sub = window[window["symbol"].isin(pos_of)].sort_values("serial")
-    for row in sub.itertuples(index=False):
-        out.append(
-            _Event(int(row.event_id), pos_of[row.symbol], float(row.ts),
-                   int(row.serial), float(row.diff))
-        )
-    return out
+    rows = zip(
+        window["event_id"].to_numpy(np.int64).tolist(),
+        window["symbol"].tolist(),
+        window["ts"].to_numpy(float).tolist(),
+        window["serial"].to_numpy(np.int64).tolist(),
+        window["diff"].to_numpy(float).tolist(),
+    )
+    return sorted(
+        ((i, pos_of[s], ts, serial, diff) for i, s, ts, serial, diff in rows if s in pos_of),
+        key=operator.itemgetter(3),
+    )
+
+
+def _pair_source(pattern: Pattern, strategy: str, a_slots, b_slots) -> str:
+    """Source of ``check(a, b)``: every constraint between an instance laid
+    out as ``a_slots`` and one laid out as ``b_slots``, one comparison per
+    (slot, slot) pair in x-major order. It returns the number of comparisons
+    made, negated if the last one failed. The source holds nothing but loop
+    counters and the fixed strings of ``_CONDITIONS``."""
+    lines = ["def check(a, b):",
+             f"    {''.join(f'x{k}, ' for k in range(len(a_slots)))}= a",
+             f"    {''.join(f'y{k}, ' for k in range(len(b_slots)))}= b"]
+    n = 0
+    for k, p in enumerate(a_slots):
+        for m, q in enumerate(b_slots):
+            n += 1
+            (lo, i), (hi, j) = sorted([(p, f"x{k}"), (q, f"y{m}")])
+            conds = [_CONDITIONS["ts_lt"]] if pattern.op is Op.SEQ else []
+            if strategy == "contiguity" and hi == lo + 1:
+                conds.append(_CONDITIONS["serial_adj"])
+            conds += [_CONDITIONS[c.kind] for c in pattern.predicates if (c.i, c.j) == (lo, hi)]
+            test = " and ".join(c.format(i=i, j=j) for c in dict.fromkeys(conds) if c)
+            if test:
+                lines.append(f"    if not ({test}): return {-n}")
+    lines.append(f"    return {n}")
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=256)
+def _program(pattern: Pattern, root: TreeNode, strategy: str):
+    """The checks of one (pattern, plan, strategy), compiled once per process.
+
+    An instance's slots follow its node's ``leaves_in_order()``, so every
+    constraint between a node's instance and its sibling's is fixed by the
+    plan. Returns, per non-root node mask, ``(parent mask, sibling mask,
+    is left child, pair check of this side)``, and the root instance's
+    match key (ids in pattern-position order)."""
+    links, namespace = {}, {}
+    for par in root.nodes():
+        if par.is_leaf():
+            continue
+        for node, sib in ((par.left, par.right), (par.right, par.left)):
+            exec(_pair_source(pattern, strategy, node.leaves_in_order(),
+                              sib.leaves_in_order()), namespace)
+            links[node.mask] = (par.mask, sib.mask, node is par.left, namespace["check"])
+    slots = root.leaves_in_order()
+    key = "".join(f"m[{slots.index(p)}][0], " for p in sorted(slots))
+    exec(f"def match_key(m): return ({key})", namespace)
+    return links, namespace["match_key"]
 
 
 def _validate(pattern: Pattern, strategy: str) -> None:
@@ -152,67 +187,51 @@ def _detect(
     _validate(pattern, strategy)
     events = _events_of(window, pattern)
     res = DetectorResult(matches=[], n_events=len(events))
-    parent: dict[int, TreeNode] = {}
-    leaf_node: dict[int, TreeNode] = {}
-    for node in root.nodes():
-        if node.is_leaf():
-            leaf_node[node.leaf] = node
-        else:
-            parent[node.left.mask] = node
-            parent[node.right.mask] = node
-    instances: dict[int, list[tuple[_Event, ...]]] = {
-        node.mask: [] for node in root.nodes()
-    }
+    links, match_key = _program(pattern, root, strategy)
+    instances: dict[int, list[tuple]] = {node.mask: [] for node in root.nodes()}
     consume = strategy in ("next", "contiguity")
     consumed: set[int] = set()
-    live = 0
-    ops_at_arrival = 0
+    live = peak = ops = ops_at_arrival = 0
 
-    def emit(inst: tuple[_Event, ...]) -> None:
+    def emit(inst: tuple) -> None:
         nonlocal live
-        by_pos = sorted(inst, key=lambda e: e.pos)
-        res.matches.append(tuple(e.id for e in by_pos))
-        res.match_latencies.append(res.comparisons - ops_at_arrival)
+        res.matches.append(match_key(inst))
+        res.match_latencies.append(ops - ops_at_arrival)
         if consume:
-            ids = {e.id for e in inst}
+            ids = {e[0] for e in inst}
             consumed.update(ids)
             for mask, lst in instances.items():
-                kept = [q for q in lst if not any(e.id in ids for e in q)]
+                kept = [q for q in lst if not any(e[0] in ids for e in q)]
                 if mask not in buffers:
                     live -= len(lst) - len(kept)
                 lst[:] = kept
 
-    def compat(a: tuple[_Event, ...], b: tuple[_Event, ...]) -> bool:
-        for x in a:
-            for y in b:
-                res.comparisons += 1
-                if not _check(pattern, x, y, strategy):
-                    return False
-        return True
-
-    def add_instance(node: TreeNode, inst: tuple[_Event, ...]) -> None:
-        nonlocal live
-        if node is root:
+    def add_instance(mask: int, inst: tuple) -> None:
+        nonlocal live, peak, ops
+        if mask == root.mask:
             emit(inst)
             return
-        instances[node.mask].append(inst)
-        if node.mask not in buffers:
+        instances[mask].append(inst)
+        if mask not in buffers:
             live += 1
-            res.peak_partials = max(res.peak_partials, live)
-        par = parent[node.mask]
-        sib = par.right if par.left is node else par.left
-        for other in list(instances[sib.mask]):
+            peak = max(peak, live)
+        par, sib, left, check = links[mask]
+        for other in list(instances[sib]):
             # ``inst`` itself is only consumed by a match made in this loop,
             # which returns at once.
-            if consume and any(e.id in consumed for e in other):
+            if consume and any(e[0] in consumed for e in other):
                 continue
-            if compat(inst, other):
-                merged = inst + other if par.left is node else other + inst
-                add_instance(par, merged)
-                if consume and any(e.id in consumed for e in inst):
-                    return
+            n = check(inst, other)
+            if n < 0:
+                ops -= n
+                continue
+            ops += n
+            add_instance(par, inst + other if left else other + inst)
+            if consume and any(e[0] in consumed for e in inst):
+                return
 
     for e in events:
-        ops_at_arrival = res.comparisons
-        add_instance(leaf_node[e.pos], (e,))
+        ops_at_arrival = ops
+        add_instance(1 << e[1], (e,))
+    res.peak_partials, res.comparisons = peak, ops
     return res

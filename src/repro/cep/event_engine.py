@@ -1,8 +1,9 @@
 """Event-at-a-time CEP as a distributed Spark operator.
 
 The pure-Python detector of :mod:`repro.cep.detectors` is data-parallel
-across time windows: the stream is grouped by tumbling window id and each
-window is detected independently inside ``applyInPandas`` (the standard
+across time windows: the stream, projected to the six columns the
+detectors read, is grouped by tumbling window id and each window is
+detected independently inside ``applyInPandas`` (the standard
 way to run a custom streaming operator on the Spark DataFrame API). An
 order plan runs as its left-deep instance tree (the lazy NFA), a tree
 plan as its own.
@@ -43,6 +44,10 @@ _METRIC_SCHEMA = T.StructType(
 )
 
 
+# The columns the detectors read: only these are shuffled into the windows.
+_COLUMNS = ("wid", "symbol", "event_id", "ts", "serial", "diff")
+
+
 def _detect(window: pd.DataFrame, pattern, plan, strategy) -> DetectorResult:
     if isinstance(plan, OrderPlan):
         return detect_order(window, pattern, plan, strategy)
@@ -76,7 +81,10 @@ def run_metrics(
         )
 
     t0 = time.perf_counter()
-    rows = events.groupBy("wid").applyInPandas(fn, schema=_METRIC_SCHEMA).toPandas()
+    rows = (
+        events.select(*_COLUMNS).groupBy("wid")
+        .applyInPandas(fn, schema=_METRIC_SCHEMA).toPandas()
+    )
     wall = time.perf_counter() - t0
     n_matches = int(rows["n_matches"].sum())
     metrics = ExecutionMetrics(
@@ -112,4 +120,4 @@ def run_matches(
         r = _detect(pdf, pattern, plan, strategy)
         return pd.DataFrame(r.matches, columns=cols)
 
-    return events.groupBy("wid").applyInPandas(fn, schema=schema)
+    return events.select(*_COLUMNS).groupBy("wid").applyInPandas(fn, schema=schema)

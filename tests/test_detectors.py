@@ -1,13 +1,15 @@
 """Tests for the event-at-a-time detectors (repro.cep.detectors)."""
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.cep.detectors import detect_order, detect_tree
-from repro.core.pattern import Op, Predicate, conj, seq
+from repro.cep.detectors import _events_of, _program, detect_order, detect_tree
+from repro.core.pattern import PREDICATE_KINDS, Op, Pattern, Predicate, conj, seq
 from repro.core.plans import OrderPlan, all_tree_plans, left_deep_tree
+from tests.test_detector_golden import _trees
 
 
 def window_of(rows):
@@ -270,3 +272,124 @@ class TestValidation:
         w = window_of([])
         r = detect_order(w, SEQ_ABC, OrderPlan((0, 1, 2)))
         assert r.matches == [] and r.n_events == 0
+
+
+# -- the generated pair checks against the scalar reference -------------------
+
+# The detectors' event tuple, with names for the reference check.
+Ev = namedtuple("Ev", "id pos ts serial diff")
+
+
+def _check(pattern: Pattern, a: Ev, b: Ev, strategy: str) -> bool:
+    """Reference: all pattern constraints between two bound events (one
+    comparison), walking every predicate."""
+    i, j = (a, b) if a.pos < b.pos else (b, a)
+    if pattern.op is Op.SEQ:
+        if not (i.ts < j.ts):
+            return False
+    elif i.pos != j.pos and i.id == j.id:
+        return False
+    if strategy == "contiguity" and j.pos == i.pos + 1:
+        if j.serial != i.serial + 1:
+            return False
+    for q in pattern.predicates:
+        if (q.i, q.j) != (i.pos, j.pos):
+            continue
+        if q.kind == "diff_lt" and not (i.diff < j.diff):
+            return False
+        if q.kind == "diff_gt" and not (i.diff > j.diff):
+            return False
+        if q.kind == "ts_lt" and not (i.ts < j.ts):
+            return False
+        if q.kind == "serial_adj" and j.serial != i.serial + 1:
+            return False
+    return True
+
+
+def _reference_pair_check(pattern, a, b, strategy) -> int:
+    """Comparisons made between instances ``a`` and ``b`` (x-major),
+    negated if the last one failed."""
+    n = 0
+    for x in a:
+        for y in b:
+            n += 1
+            if not _check(pattern, x, y, strategy):
+                return -n
+    return n
+
+
+def _pattern_with(op: Op, kind: str) -> Pattern:
+    """Four positions; ``kind`` on three of the six pairs, plus a filter
+    (i == j) and a predicate with i > j, neither of which ever applies."""
+    preds = tuple(Predicate(i, j, kind=kind) for i, j in ((0, 1), (0, 3), (2, 3)))
+    pattern = Pattern(op, tuple("ABCD"), preds + (Predicate(1, 1, kind=kind),), 100.0)
+    backwards = Predicate(0, 2, kind=kind)
+    # Past validation, which rejects i > j.
+    object.__setattr__(backwards, "i", 2)
+    object.__setattr__(backwards, "j", 0)
+    object.__setattr__(pattern, "predicates", pattern.predicates + (backwards,))
+    return pattern
+
+
+def _random_instance(g, slots, ids):
+    """Events at ``slots``; few distinct ts, serials and diffs, so that equal
+    timestamps, serial adjacency and diff ties all occur."""
+    return tuple(
+        Ev(next(ids), pos, float(g.integers(4)), int(g.integers(6)), float(g.integers(-1, 2)))
+        for pos in slots
+    )
+
+
+class TestCompiledPairChecks:
+    @pytest.mark.parametrize("strategy", ["any", "next", "contiguity"])
+    @pytest.mark.parametrize("op", [Op.SEQ, Op.AND])
+    @pytest.mark.parametrize("kind", PREDICATE_KINDS)
+    def test_pair_checks_equal_reference(self, kind, op, strategy):
+        """Every node side of every tree over four positions (both child
+        orders of each split), on random instance pairs."""
+        pattern = _pattern_with(op, kind)
+        g = np.random.default_rng([PREDICATE_KINDS.index(kind), op is Op.SEQ, len(strategy)])
+        ids = itertools.count()
+        outcomes = set()
+        for root in _trees(tuple(range(4))):
+            links, _ = _program(pattern, root, strategy)
+            nodes = {node.mask: node for node in root.nodes()}
+            assert set(links) == set(nodes) - {root.mask}
+            for mask, (_, sib, _, check) in links.items():
+                for _ in range(8):
+                    a = _random_instance(g, nodes[mask].leaves_in_order(), ids)
+                    b = _random_instance(g, nodes[sib].leaves_in_order(), ids)
+                    expected = _reference_pair_check(pattern, a, b, strategy)
+                    assert check(a, b) == expected, (root, mask, a, b)
+                    outcomes.add(expected > 0)
+        # Only AND with ``true`` and no contiguity puts no condition on a pair.
+        unconstrained = op is Op.AND and kind == "true" and strategy != "contiguity"
+        assert outcomes == ({True} if unconstrained else {True, False})
+
+    def test_match_key_orders_ids_by_position(self):
+        for root in _trees((0, 1, 2)):
+            _, match_key = _program(SEQ_ABC, root, "any")
+            inst = tuple(Ev(10 + p, p, 0.0, 0, 0.0) for p in root.leaves_in_order())
+            assert match_key(inst) == (10, 11, 12), root
+
+
+class TestEventsOf:
+    def test_empty_window(self):
+        assert _events_of(window_of([]), SEQ_ABC) == []
+
+    def test_window_without_pattern_types(self):
+        w = window_of([("X", 1, 0.5), ("Y", 2, -0.5)])
+        assert _events_of(w, SEQ_ABC) == []
+
+    @pytest.mark.parametrize("int_columns", [False, True])
+    def test_python_scalars_in_serial_order(self, int_columns):
+        """Ids and serials are ``int`` and ts and diff ``float``, also from
+        integer ts/diff columns, so match tuples keep a LongType schema."""
+        w = window_of([("B", 2, 1.0), ("X", 3, 0.0), ("A", 1, -2.0)])
+        w["serial"] = [5, 6, 4]
+        if int_columns:
+            w = w.astype({"ts": np.int64, "diff": np.int64, "event_id": np.int32})
+        got = _events_of(w, SEQ_ABC)
+        assert got == [(2, 0, 1.0, 4, -2.0), (0, 1, 2.0, 5, 1.0)]
+        for e in got:
+            assert [type(v) for v in e] == [int, int, float, int, float]

@@ -1,4 +1,6 @@
 """Event-engine (applyInPandas) tests: oracle + engine cross-validation."""
+import re
+
 import pandas as pd
 import pytest
 
@@ -89,6 +91,17 @@ class TestAnyMatch:
             "ev-matches", lambda: run_matches(spark, events, p, pp.order_plan).toPandas()
         )
         assert 0 < metric_jobs <= match_jobs
+
+
+    def test_only_detector_columns_reach_the_windows(self, spark, events, stats):
+        """The events are projected before the shuffle (``price`` is not
+        read), and no row is filtered: n_events is checked above."""
+        p = make_pattern("sequence", 3, stats, CFG.window, seed=1)
+        pp = plan_simple(p, stats.rates_for(p.types), "DP-LD")
+        plan = run_matches(spark, events, p, pp.order_plan)._jdf.queryExecution().optimizedPlan()
+        (udf_line,) = [ln for ln in plan.toString().splitlines() if "FlatMapGroupsInPandas" in ln]
+        args = re.search(r"fn\(([^)]*)\)", udf_line).group(1).split(", ")
+        assert [a.split("#")[0] for a in args] == ["wid", "symbol", "event_id", "ts", "serial", "diff"]
 
 
 class TestStrategies:
