@@ -141,8 +141,6 @@ def _cross_conditions(
     """
     conds: list[str] = []
     for q in pattern.predicates:
-        if q.i == q.j:
-            continue
         if (q.i in left_positions and q.j in right_positions) or (
             q.j in left_positions and q.i in right_positions
         ):

@@ -20,6 +20,7 @@ experiments use the batch engine, which exposes per-stage cardinalities.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 import uuid
@@ -100,17 +101,17 @@ def execute_order_plan_streaming(
     # ``Observation`` cannot observe a streaming Dataset, and stream-stream
     # joins take no ``shuffle_hash`` hints.
     first = pos_sequence[0]
+    # Same tumbling window ⇒ |Δt| < W ≤ ⌈W⌉: whole seconds, rounded up so
+    # that a fractional window keeps all of its pairs.
+    within = F.expr(f"INTERVAL {math.ceil(pattern.window)} SECONDS")
     cur = _position_stream(stream, pattern, first, pattern.window)
     bound = {first}
     for i in pos_sequence[1:]:
         nxt = _position_stream(stream, pattern, i, pattern.window)
         cond = F.col(f"p{first}_wid") == F.col(f"p{i}_wid")
-        # Event-time range constraint: same tumbling window ⇒ |Δt| < W.
-        cond = cond & (
-            F.col(f"p{i}_et").between(
-                F.col(f"p{first}_et") - F.expr(f"INTERVAL {int(pattern.window)} SECONDS"),
-                F.col(f"p{first}_et") + F.expr(f"INTERVAL {int(pattern.window)} SECONDS"),
-            )
+        # Event-time range constraint, which bounds the join state.
+        cond = cond & F.col(f"p{i}_et").between(
+            F.col(f"p{first}_et") - within, F.col(f"p{first}_et") + within
         )
         for c in _cross_conditions(pattern, bound, {i}, strategy):
             cond = cond & F.expr(c)

@@ -61,22 +61,22 @@ def cost_ldj(plan: OrderPlan, stats: PatternStats) -> float:
 
     Written against the join-side quantities of §3.2/§4.1: relation
     cardinalities ``|R_i| = W·r_i`` and predicate selectivities ``f = sel``.
-    ``C_1 = |R_{i_1}|·f_{i_1,i_1}``; each further step contributes
+    ``C_1 = |R_{i_1}|``; each further step contributes
     ``C(P_{k-1}, R_{i_k}) = |P_{k-1}|·|R_{i_k}|·f_{P,R}`` where ``f_{P,R}``
     is the product of the selectivities of all predicates between the new
-    relation and the relations already joined (including the new relation's
-    own filter). Only valid for pure conjunctive instances
-    (``temporal_mode`` none/pairwise — Theorem 1's setting).
+    relation and the relations already joined. Only valid for pure
+    conjunctive instances (``temporal_mode`` none/pairwise — Theorem 1's
+    setting).
     """
-    if stats.temporal_mode == "exact" and stats.seq_members:
+    if stats.temporal_mode == "exact":
         raise ValueError("Cost_LDJ is defined on the pure conjunctive reduction")
     order = plan.order
     first = order[0]
-    card = stats.counts[first] * stats.sel[first, first]
+    card = stats.counts[first]
     total = card
     joined = [first]
     for t in order[1:]:
-        f = stats.sel[t, t]
+        f = 1.0
         for i in joined:
             f *= stats.sel[i, t]
         card = card * stats.counts[t] * f
@@ -88,9 +88,8 @@ def cost_ldj(plan: OrderPlan, stats: PatternStats) -> float:
 def cost_tree(plan: TreePlan, stats: PatternStats) -> float:
     """Σ_N PM(N) — the tree-based throughput cost (§4.2).
 
-    ``PM(leaf) = W·r_i`` (times the filter selectivity, folded in so the
-    order- and tree-based models treat filters identically) and
-    ``PM(in) = PM(L)·PM(R)·SEL_LR(in)``, which is the PM of the node's leaf
+    ``PM(leaf) = W·r_i`` and ``PM(in) = PM(L)·PM(R)·SEL_LR(in)`` (times
+    ``|L|!·|R|!/|in|!`` in exact mode), which is the PM of the node's leaf
     set, summed over the nodes in post-order.
     """
     return float(sum(stats.pm_of_mask(node.mask) for node in plan.root.nodes()))
@@ -103,13 +102,13 @@ def cost_bj(plan: TreePlan, stats: PatternStats) -> float:
     ``|N| = |L|·|R|·f_{L,R}`` with ``f_{L,R}`` computed by a literal double
     loop over the selectivity matrix. Pure conjunctive instances only.
     """
-    if stats.temporal_mode == "exact" and stats.seq_members:
+    if stats.temporal_mode == "exact":
         raise ValueError("Cost_BJ is defined on the pure conjunctive reduction")
     card: dict[int, float] = {}
     total = 0.0
     for node in plan.root.nodes():
         if node.is_leaf():
-            v = stats.counts[node.leaf] * stats.sel[node.leaf, node.leaf]
+            v = stats.counts[node.leaf]
         else:
             f = 1.0
             for i in range(stats.n):
@@ -194,9 +193,9 @@ class OrderIndex:
     ``positions`` is ``moves`` position-major, ``(L, B)``. ``factors`` holds
     flat indices into the base's ``size×size`` factor matrix
     ``sel[base][:, base]``, one ``(B,)`` row per factor of the
-    recurrence: L rows for the diagonal ``sel[t_k, t_k]``, then one row per
-    pair ``(j, k)``, j < k, j-major, which is the order in which
-    :meth:`PatternStats.prefix_pms` multiplies them.
+    recurrence: one row per pair ``(j, k)``, j < k, j-major, which is the
+    order in which :meth:`PatternStats.prefix_pms` multiplies them, so
+    ``L(L−1)/2`` rows.
     """
 
     def __init__(self, moves: np.ndarray, size: int):
@@ -207,9 +206,7 @@ class OrderIndex:
             # A flat factor index out of 0 … size−1 would read another cell.
             raise ValueError(f"order positions must lie in 0 … {size - 1}")
         j, k = _pairs(self.positions.shape[0])
-        self.factors = np.concatenate(
-            [self.positions * (size + 1), self.positions[j] * size + self.positions[k]]
-        )
+        self.factors = self.positions[j] * size + self.positions[k]
         # Left writeable: ``take`` copies a read-only index array on every call.
 
 
@@ -346,10 +343,10 @@ class Objective:
         ``sel[base][:, base]`` in one flat ``take``, and the recurrence
         runs row by row over the position-major ``(L, B)`` table, each float
         operation applied to all B plans at once in the recurrence's order:
-        position k's factor ``sel[t,t]·sel[t_0,t]·…·sel[t_{k-1},t]``
-        (ascending j); ``selprod_k = selprod_{k-1}·f_k``, then ``/ k_seq``
-        at the k_seq-th sequence member in exact mode; the running count
-        product (or minimum); ``PM_k = count_k·selprod_k``. Row b equals
+        position k's factor ``1.0·sel[t_0,t]·…·sel[t_{k-1},t]``
+        (ascending j); ``selprod_k = selprod_{k-1}·f_k``, then ``/ (k+1)``
+        in exact mode; the running count product (or minimum);
+        ``PM_k = count_k·selprod_k``. Row b equals
         ``prefix_pms`` of plan b bit for bit, whatever batch it is in. The
         result is a transposed view of the ``(L, B)`` table.
         """
@@ -360,28 +357,20 @@ class Objective:
         # OrderIndex checked its positions, so every flat index is in range
         # and "wrap" only skips take's bounds check.
         factors = st.sel[base][:, base].take(index.factors, mode="wrap")
-        selprod = factors[:length]
-        row = length
+        selprod = np.ones(pos.shape)
+        row = 0
         for j in range(length - 1):
             selprod[j + 1 :] *= factors[row : row + length - 1 - j]
             row += length - 1 - j
-        seq = st.seq_members if st.temporal_mode == "exact" else 0
-        if seq:
-            member = np.array([seq >> i & 1 for i in range(st.n)], dtype=bool)[base]
-            is_seq = member.take(pos)
-            k_seq = is_seq.astype(float)
-            for k in range(1, length):
-                k_seq[k] += k_seq[k - 1]
-            # Dividing by 1 where the position is not a sequence member is exact.
-            k_seq = np.where(is_seq, k_seq, 1.0)
-        # Row 0 would divide by 1 (the first member, or none), which is exact.
+        exact = st.temporal_mode == "exact"
+        # Row 0 would divide by 1, which is exact.
         count = st.counts[base].take(pos)
         combine = np.multiply if self.strategy == "any" else np.minimum
         rows, count_rows = list(selprod), list(count)
         for k in range(1, length):
             rows[k] *= rows[k - 1]
-            if seq:
-                rows[k] /= k_seq[k]
+            if exact:
+                rows[k] /= k + 1
             combine(count_rows[k], count_rows[k - 1], out=count_rows[k])
         return (count * selprod).T
 
@@ -435,10 +424,10 @@ class SubsetTables(Objective):
     highest bit b) extended by b with the recurrence's operations. The
     masks with highest bit b are the slice [2^b, 2^(b+1)) and their rests
     the slice [0, 2^b), so the tables fill for b = 0 … n−1 in n vector
-    steps: ``f[r] = sel[b,b]·Π_{i∈r, ascending} sel[i,b]`` built by
-    doubling over i, ``selprod = selprod[r]·f`` (then ``/ k`` for the k-th
-    sequence member in exact mode), the count product (or minimum) likewise,
-    and ``PM = count·selprod``. Entry 0, the empty set, is unused. The
+    steps: ``f[r] = 1.0·Π_{i∈r, ascending} sel[i,b]`` built by doubling
+    over i, ``selprod = selprod[r]·f`` (then ``/`` the mask's popcount in
+    exact mode), the count product (or minimum) likewise, and
+    ``PM = count·selprod``. Entry 0, the empty set, is unused. The
     inherited :meth:`prefix_pm`, :meth:`node_pm` and :meth:`lat_combine`
     then look a subset up in O(1).
     """
@@ -452,23 +441,22 @@ class SubsetTables(Objective):
         size = 1 << n
         sel = st.sel
         counts = st.counts
-        seq = st.seq_members if st.temporal_mode == "exact" else 0
-        if seq:
-            # k_seq[mask] = |mask ∩ seq|, built by doubling over the bits.
-            k_seq = np.zeros(1, dtype=np.uint8)
-            for i in range(n):
-                k_seq = np.concatenate([k_seq, k_seq + (seq >> i & 1)])
+        exact = st.temporal_mode == "exact"
+        # popcount[mask], built by doubling over the bits.
+        self.popcount = np.zeros(1, dtype=np.int8)
+        for _ in range(n):
+            self.popcount = np.concatenate([self.popcount, self.popcount + 1])
         selprod = np.ones(size)
         countprod = np.ones(size)
         mincnt = np.full(size, math.inf)
         for b in range(n):
             rest, masks = slice(0, 1 << b), slice(1 << b, 2 << b)
-            f = np.array([sel[b, b]])
+            f = np.ones(1)
             for i in range(b):
                 f = np.concatenate([f, f * sel[i, b]])
             selprod[masks] = selprod[rest] * f
-            if seq >> b & 1:
-                selprod[masks] /= k_seq[masks]
+            if exact:
+                selprod[masks] /= self.popcount[masks]
             countprod[masks] = countprod[rest] * counts[b]
             mincnt[masks] = np.minimum(mincnt[rest], counts[b])
         self.pm_any = countprod * selprod
@@ -478,11 +466,8 @@ class SubsetTables(Objective):
         """``layers()[p]`` = the masks of popcount p, ascending, for
         p = 0 … n: the order in which the DP planners fill their tables
         (their tie-breaking relies on it)."""
-        popcount = np.zeros(1, dtype=np.int8)
-        for _ in range(self.stats.n):
-            popcount = np.concatenate([popcount, popcount + 1])
-        by_layer = np.argsort(popcount, kind="stable")
-        return np.split(by_layer, np.cumsum(np.bincount(popcount))[:-1])
+        by_layer = np.argsort(self.popcount, kind="stable")
+        return np.split(by_layer, np.cumsum(np.bincount(self.popcount))[:-1])
 
     def _pm(self, mask, next_match: bool):
         return (self.pm_next if next_match else self.pm_any)[mask]

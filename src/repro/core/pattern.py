@@ -13,9 +13,9 @@ simple subpatterns (the DNF form of §5.4 — any nested pattern the paper
 considers reduces to this shape via :func:`repro.core.transformations.to_dnf`).
 
 Predicates are pairwise (the paper's presentational assumption): each
-:class:`Predicate` relates two positions ``i < j`` (or ``i == j`` for a
-filter) and carries an executable ``kind`` understood by the engines plus a
-selectivity estimate used by the cost models.
+:class:`Predicate` relates two distinct positions ``i < j`` and carries an
+executable ``kind`` understood by the engines plus a selectivity estimate
+used by the cost models. There are no unary filter conditions ``c_{i,i}``.
 """
 from __future__ import annotations
 
@@ -61,8 +61,8 @@ class Predicate:
             raise ValueError(f"unknown predicate kind {self.kind!r}")
         if not (0.0 <= self.sel <= 1.0):
             raise ValueError(f"selectivity out of [0,1]: {self.sel}")
-        if self.i > self.j:
-            raise ValueError("predicate positions must satisfy i <= j")
+        if self.i >= self.j:
+            raise ValueError("predicate positions must satisfy i < j")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class Pattern:
             raise ValueError("simple pattern requires event types")
         n = len(self.types)
         for p in self.predicates:
-            if not (0 <= p.i <= p.j < n):
+            if not (0 <= p.i < p.j < n):
                 raise ValueError(f"predicate {p} out of range for n={n}")
         if self.negated & self.kleene:
             raise ValueError("a position cannot be both NOT and KL")

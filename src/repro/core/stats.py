@@ -19,8 +19,9 @@ Every partial-match count (§4.1 prefixes, §4.2 tree nodes, §6.2
 skip-till-next counts) comes from one recurrence, :meth:`PatternStats.prefix_pms`:
 a prefix grows by one position at a time, and a set's PM is that
 recurrence over its members in ascending order. It multiplies ``counts``
-and ``sel`` entries only, so no separate ``W^k`` term is needed:
-``W^k · Π r_i = Π (W·r_i)``.
+and off-diagonal ``sel`` entries only, so no separate ``W^k`` term is
+needed: ``W^k · Π r_i = Π (W·r_i)``. A predicate relates two distinct
+positions, so ``sel``'s diagonal is 1.0 and contributes no factor.
 """
 from __future__ import annotations
 
@@ -54,15 +55,13 @@ class PatternStats:
     counts:
         ``counts[i] = W · r_i`` for planning position i (Kleene-inflated).
     sel:
-        Symmetric ``n×n`` selectivity matrix; ``sel[i][j]`` is the product
-        of the selectivities of all predicates between positions i and j
-        (diagonal = filter selectivity, 1.0 if none).
-    seq_members:
-        Bitmask (over planning positions) of positions that are mutually
-        temporally ordered. All positive positions for SEQ, 0 for AND.
+        Symmetric ``n×n`` selectivity matrix; ``sel[i][j]``, i ≠ j, is the
+        product of the selectivities of all predicates between positions i
+        and j. The diagonal is 1.0.
     temporal_mode:
-        ``"exact"`` (1/k! subset factor), ``"pairwise"`` (temporal
-        predicates already folded into ``sel``) or ``"none"``.
+        ``"exact"`` (1/k! subset factor: all planning positions are
+        mutually temporally ordered, a SEQ of two or more), ``"pairwise"``
+        (temporal predicates already folded into ``sel``) or ``"none"``.
     positions:
         For each planning position, the index in the original pattern
         (positive positions only, in pattern order).
@@ -74,7 +73,6 @@ class PatternStats:
     window: float
     counts: np.ndarray
     sel: np.ndarray
-    seq_members: int = 0
     temporal_mode: str = "exact"
     positions: tuple[int, ...] = ()
     last_seq_position: int | None = None
@@ -111,14 +109,10 @@ class PatternStats:
             if p.i in back and p.j in back:
                 a, b = back[p.i], back[p.j]
                 sel[a, b] *= p.sel
-                if a != b:
-                    sel[b, a] *= p.sel
-        seq_members = 0
+                sel[b, a] *= p.sel
         mode = temporal_mode
         if pattern.op is Op.SEQ and n > 1:
-            if mode == "exact":
-                seq_members = (1 << n) - 1
-            elif mode == "pairwise":
+            if mode == "pairwise":
                 # Theorem 3 reduction: adjacent ts_lt predicates, sel 0.5.
                 for k in range(n - 1):
                     sel[k, k + 1] *= 0.5
@@ -130,7 +124,6 @@ class PatternStats:
             window=pattern.window,
             counts=counts,
             sel=sel,
-            seq_members=seq_members,
             temporal_mode=mode,
             positions=pos,
             last_seq_position=last,
@@ -149,30 +142,29 @@ class PatternStats:
     def prefix_pms(self, order, next_match: bool = False) -> list[float]:
         """PM of every prefix of ``order`` — the one partial-match recurrence.
 
-        ``PM(P+t) = PM(P) · W·r_t · sel_{t,t} · Π_{i∈P} sel_{i,t}``, the
-        predicate factors multiplied in ``order``'s order, divided by k at
-        the k-th sequence member in exact mode (the 1/k! ordering
-        probability, built up incrementally). ``next_match`` takes the
-        running minimum of the counts instead of their product (§6.2's
-        ``W·min(r)``). The float operations are, in order: ``f = sel[t,t]``
-        times each ``sel[i,t]``; ``selprod = selprod·f``, then ``/ k``;
+        ``PM(P+t) = PM(P) · W·r_t · Π_{i∈P} sel_{i,t}``, the predicate
+        factors multiplied in ``order``'s order; in exact mode the prefix
+        of k positions is divided by k (the 1/k! ordering probability,
+        built up incrementally). ``next_match`` takes the running minimum
+        of the counts instead of their product (§6.2's ``W·min(r)``). The
+        float operations are, in order: ``f = 1.0`` times each
+        ``sel[i,t]``; ``selprod = selprod·f``, then ``/ k``;
         ``count = count·W·r_t`` (or the minimum); ``PM = count·selprod``.
         The batched :meth:`~repro.core.cost_model.Objective.prefix_pm_rows`
         and :class:`~repro.core.cost_model.SubsetTables` apply exactly these
         operations, so all three agree bit for bit.
         """
-        seq = self.seq_members if self.temporal_mode == "exact" else 0
+        exact = self.temporal_mode == "exact"
         sel, counts = self.sel, self.counts
-        selprod, count, k = 1.0, math.inf if next_match else 1.0, 0
+        selprod, count = 1.0, math.inf if next_match else 1.0
         pms = []
         for a, t in enumerate(order):
-            f = sel[t, t]
+            f = 1.0
             for i in order[:a]:
                 f *= sel[i, t]
             selprod *= f
-            if seq >> t & 1:
-                k += 1
-                selprod /= k
+            if exact:
+                selprod /= a + 1
             count = min(count, counts[t]) if next_match else count * counts[t]
             pms.append(count * selprod)
         return pms
@@ -182,8 +174,8 @@ class PatternStats:
         members in ascending order.
 
         This is the paper's PM(k) (§4.1) / PM(node) (§4.2) written for an
-        arbitrary subset: ``Π_{i∈mask} (W·r_i)·sel_{i,i} · Π_{i<j∈mask}
-        sel_{i,j}``, divided by |mask ∩ seq|! in exact mode; with
+        arbitrary subset: ``Π_{i∈mask} (W·r_i) · Π_{i<j∈mask} sel_{i,j}``,
+        divided by |mask|! in exact mode; with
         ``next_match``, §6.2's ``W·min(r) · Π sel`` instead.
         """
         members = [i for i in range(self.n) if mask >> i & 1]

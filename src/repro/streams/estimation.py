@@ -27,7 +27,6 @@ _KINDS = ("diff_lt", "diff_gt")
 class StreamStatistics:
     """Measured stream statistics: rates and pairwise selectivities."""
 
-    duration: float
     rates: dict[str, float]
     diff_samples: dict[str, np.ndarray]
     _sel_cache: dict[tuple[str, str, str], float] = field(default_factory=dict)
@@ -84,4 +83,4 @@ def estimate(
         if len(d) > max_samples:
             d = g.choice(d, size=max_samples, replace=False)
         samples[sym] = d
-    return StreamStatistics(duration=duration, rates=rates, diff_samples=samples)
+    return StreamStatistics(rates=rates, diff_samples=samples)

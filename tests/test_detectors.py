@@ -319,10 +319,10 @@ def _reference_pair_check(pattern, a, b, strategy) -> int:
 
 
 def _pattern_with(op: Op, kind: str) -> Pattern:
-    """Four positions; ``kind`` on three of the six pairs, plus a filter
-    (i == j) and a predicate with i > j, neither of which ever applies."""
+    """Four positions; ``kind`` on three of the six pairs, plus a predicate
+    with i > j, which never applies."""
     preds = tuple(Predicate(i, j, kind=kind) for i, j in ((0, 1), (0, 3), (2, 3)))
-    pattern = Pattern(op, tuple("ABCD"), preds + (Predicate(1, 1, kind=kind),), 100.0)
+    pattern = Pattern(op, tuple("ABCD"), preds, 100.0)
     backwards = Predicate(0, 2, kind=kind)
     # Past validation, which rejects i > j.
     object.__setattr__(backwards, "i", 2)

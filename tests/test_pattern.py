@@ -9,8 +9,10 @@ class TestPredicate:
         p = Predicate(0, 2, kind="diff_lt", sel=0.3)
         assert (p.i, p.j, p.sel) == (0, 2, 0.3)
 
-    def test_filter_allows_equal_positions(self):
-        assert Predicate(1, 1, kind="true", sel=0.5).i == 1
+    def test_equal_positions_rejected(self):
+        # A predicate relates two distinct positions: no filter c_{i,i}.
+        with pytest.raises(ValueError):
+            Predicate(1, 1, kind="true", sel=0.5)
 
     @pytest.mark.parametrize("sel", [-0.1, 1.5])
     def test_selectivity_range(self, sel):

@@ -30,11 +30,6 @@ class TestConstruction:
         st = stats_for(pat)
         assert st.sel[0, 1] == pytest.approx(0.1)
 
-    def test_filter_on_diagonal(self):
-        pat = conj("AB", (Predicate(1, 1, kind="true", sel=0.3),))
-        st = stats_for(pat)
-        assert st.sel[1, 1] == pytest.approx(0.3)
-
     def test_negated_positions_excluded(self):
         st = stats_for(seq("ABCD", negated=(1,), window=10.0))
         assert st.n == 3
@@ -54,16 +49,15 @@ class TestConstruction:
         st = stats_for(conj("AB", kleene=(1,), window=1000.0))
         assert st.counts[1] == pytest.approx(2.0**MAX_KLEENE_EXP)
 
-    def test_seq_members_mask(self):
-        st = stats_for(seq("ABC"))
-        assert st.seq_members == 0b111
-        assert stats_for(conj("ABC")).seq_members == 0
+    def test_exact_mode_only_for_sequences(self):
+        assert stats_for(seq("ABC")).temporal_mode == "exact"
+        assert stats_for(conj("ABC")).temporal_mode == "none"
 
     def test_pairwise_mode_folds_ts_into_sel(self):
         st = stats_for(seq("ABC"), mode="pairwise")
         assert st.sel[0, 1] == st.sel[1, 2] == 0.5
         assert st.sel[0, 2] == 1.0
-        assert st.seq_members == 0
+        assert st.temporal_mode == "pairwise"
 
     def test_or_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -97,12 +91,12 @@ class TestSubsetMath:
         assert st.pm_of_mask(0b111) == pytest.approx(20 * 50 * 5 / 6)
 
     def test_extend_factor_consistent_with_pm(self):
-        # PM(P+t) = PM(P) · W·r_t · sel_tt · Π_{i∈P} sel_it / (k+1) for the
-        # (k+1)-th sequence member in exact mode.
+        # PM(P+t) = PM(P) · W·r_t · Π_{i∈P} sel_it / (k+1) for a prefix P of
+        # k positions in exact mode.
         for s in range(5):
             st = random_stats(5, s, op=Op.SEQ, temporal_mode="exact")
             mask, t = 0b01101, 1
-            factor = st.counts[t] * st.sel[t, t]
+            factor = st.counts[t]
             for i in (0, 2, 3):
                 factor *= st.sel[i, t]
             factor /= 4

@@ -1,4 +1,5 @@
 """Structured Streaming integration: stream-stream joins == batch engine."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -72,6 +73,28 @@ class TestStreaming:
         pd.testing.assert_frame_equal(
             _canon(got_pdf), _canon(ref), check_dtype=False
         )
+
+    def test_fractional_window(self, spark, tmp_path):
+        """W = 1.5 s: A@9.1 pairs with B@9.5 and with B@10.4, 1.3 s apart but
+        in the same tumbling window."""
+        window, ts = 1.5, np.array([9.1, 9.5, 10.4])
+        pdf = pd.DataFrame(
+            {
+                "event_id": np.arange(3),
+                "symbol": ["A", "B", "B"],
+                "ts": ts,
+                "wid": (ts // window).astype(np.int64),
+                "serial": np.arange(3),
+                "price": 100.0,
+                "diff": 0.0,
+            }
+        )
+        stage_stream(pdf, str(tmp_path), n_slices=1)
+        p = seq(("A", "B"), (), window)
+        pp = plan_simple(p, {"A": 1.0, "B": 1.0}, "TRIVIAL")
+        got = execute_order_plan_streaming(spark, pp, str(tmp_path))
+        assert len(got) == 2
+        assert_equivalent(spark.createDataFrame(got), pattern_sql(p), ev=pdf)
 
     def test_negation_rejected(self, spark, events_pdf, staged):
         st = estimate(events_pdf, CFG.duration, seed=0)

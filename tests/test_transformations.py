@@ -192,6 +192,15 @@ class TestDNF:
         with pytest.raises(ValueError):
             to_dnf(op_and(event("A"), event("A")), window=2.0)
 
+    def test_predicate_of_a_type_with_itself_rejected(self):
+        # A predicate relates two distinct positions.
+        with pytest.raises(ValueError):
+            to_dnf(
+                op_seq(event("A"), event("B")),
+                window=2.0,
+                predicates={("A", "A"): ("diff_lt", 0.3)},
+            )
+
     def test_opnode_validation(self):
         with pytest.raises(ValueError):
             OpNode(op=Op.AND, children=(event("A"),))

@@ -1,8 +1,10 @@
 """Tests for the workload generator (repro.workloads.generator)."""
+import numpy as np
 import pytest
 
 from repro.core.pattern import Op
 from repro.core.planner import plan_pattern
+from repro.core.stats import PatternStats
 from repro.streams.estimation import estimate
 from repro.streams.stock import StreamConfig, stock_events_pdf
 from repro.workloads.generator import CATEGORIES, make_pattern, make_pattern_set
@@ -73,6 +75,18 @@ class TestMakePattern:
             p = make_pattern("negation", 5, stats, CFG.window, seed=s)
             (pos,) = p.negated
             assert all(pos not in (q.i, q.j) for q in p.predicates)
+
+    @pytest.mark.parametrize("mode", ["exact", "pairwise"])
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_stats_the_recurrence_relies_on(self, stats, category, mode):
+        """sel's diagonal is 1.0 (no filter conditions), and exact mode means
+        a SEQ of two or more positive positions, all mutually ordered."""
+        for p in make_pattern_set(category, [3, 5], 2, stats, CFG.window):
+            for sp in p.subpatterns if p.op is Op.OR else (p,):
+                st = PatternStats.from_pattern(sp, stats.rates, temporal_mode=mode)
+                assert np.diag(st.sel).tolist() == [1.0] * st.n
+                ordered = sp.op is Op.SEQ and len(sp.positive()) >= 2
+                assert (st.temporal_mode == "exact") == (ordered and mode == "exact")
 
     def test_unknown_category(self, stats):
         with pytest.raises(ValueError):
