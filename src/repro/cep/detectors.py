@@ -46,7 +46,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.cost_model import STRATEGIES
-from repro.core.pattern import Op, Pattern
+from repro.core.pattern import Pattern
 from repro.core.plans import OrderPlan, TreeNode, TreePlan, left_deep_tree
 
 
@@ -65,16 +65,8 @@ class DetectorResult:
         return len(self.matches)
 
 
-# The condition each predicate kind puts on the events ``{i}`` (the lower
-# pattern position) and ``{j}`` of one pair, over an event tuple's fields
-# (id, pos, ts, serial, diff); ``true`` puts none.
-_CONDITIONS = {
-    "diff_lt": "{i}[4] < {j}[4]",
-    "diff_gt": "{i}[4] > {j}[4]",
-    "ts_lt": "{i}[2] < {j}[2]",
-    "serial_adj": "{j}[3] == {i}[3] + 1",
-    "true": "",
-}
+# Where each field a comparison names sits in an event tuple.
+_FIELDS = {"id": 0, "ts": 2, "serial": 3, "diff": 4}
 
 
 def _events_of(window: pd.DataFrame, pattern: Pattern) -> list[tuple]:
@@ -97,9 +89,11 @@ def _events_of(window: pd.DataFrame, pattern: Pattern) -> list[tuple]:
 def _pair_source(pattern: Pattern, strategy: str, a_slots, b_slots) -> str:
     """Source of ``check(a, b)``: every constraint between an instance laid
     out as ``a_slots`` and one laid out as ``b_slots``, one comparison per
-    (slot, slot) pair in x-major order. It returns the number of comparisons
-    made, negated if the last one failed. The source holds nothing but loop
-    counters and the fixed strings of ``_CONDITIONS``."""
+    (slot, slot) pair in x-major order, each :meth:`Pattern.pair_conditions`
+    of the pair rendered over the event tuples' fields. It returns the number
+    of comparisons made, negated if the last one failed. The source holds
+    nothing but loop counters, tuple indices and the fixed operators of
+    :data:`~repro.core.pattern.COMPARISONS`."""
     lines = ["def check(a, b):",
              f"    {''.join(f'x{k}, ' for k in range(len(a_slots)))}= a",
              f"    {''.join(f'y{k}, ' for k in range(len(b_slots)))}= b"]
@@ -108,11 +102,10 @@ def _pair_source(pattern: Pattern, strategy: str, a_slots, b_slots) -> str:
         for m, q in enumerate(b_slots):
             n += 1
             (lo, i), (hi, j) = sorted([(p, f"x{k}"), (q, f"y{m}")])
-            conds = [_CONDITIONS["ts_lt"]] if pattern.op is Op.SEQ else []
-            if strategy == "contiguity" and hi == lo + 1:
-                conds.append(_CONDITIONS["serial_adj"])
-            conds += [_CONDITIONS[c.kind] for c in pattern.predicates if (c.i, c.j) == (lo, hi)]
-            test = " and ".join(c.format(i=i, j=j) for c in dict.fromkeys(conds) if c)
+            test = " and ".join(
+                f"{i}[{_FIELDS[f]}]{f' + {offset}' if offset else ''} {op} {j}[{_FIELDS[f]}]"
+                for f, offset, op in pattern.pair_conditions(lo, hi, strategy)
+            )
             if test:
                 lines.append(f"    if not ({test}): return {-n}")
     lines.append(f"    return {n}")

@@ -11,8 +11,8 @@ reports the raw buffers of its later types, as a lazy NFA keeps them) and
 the §6.1 latency surrogate.
 
 Detection semantics (DESIGN.md §3): matches are event combinations
-sharing a tumbling window id, every pattern predicate (declared, implied
-temporal order for SEQ, §6.2 contiguity adjacency) is attached at the
+sharing a tumbling window id, every ``Pattern.pair_conditions`` entry
+(declared, SEQ order, §6.2 contiguity adjacency) is rendered as SQL at the
 earliest join where both operands are bound, negated events become
 left-anti joins at the earliest dependency-satisfying step (§5.3), and a
 Kleene position is joined event-at-a-time with a final power-set
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.pattern import Op, Pattern, Predicate
+from repro.core.pattern import COMPARISONS, Op, Pattern
 from repro.core.planner import PlannedPattern
 from repro.core.plans import TreeNode, left_deep_tree
 from repro.core.transformations import negation_dependencies
@@ -110,57 +110,26 @@ def _position_df(events: DataFrame, pattern: Pattern, i: int, prefix: str = "p")
     )
 
 
-_PREDICATE_SQL = {
-    "diff_lt": "{a}_diff < {b}_diff",
-    "diff_gt": "{a}_diff > {b}_diff",
-    "ts_lt": "{a}_ts < {b}_ts",
-    "serial_adj": "{b}_serial = {a}_serial + 1",
-    "true": "true",
-}
-
-
-def _pred_expr(q: Predicate, li: str, lj: str) -> str:
-    """The SQL condition of predicate ``q`` between the column prefixes
-    bound at positions ``q.i`` (→ ``li``) and ``q.j`` (→ ``lj``)."""
-    return _PREDICATE_SQL[q.kind].format(a=li, b=lj)
+def _sql(comparison: tuple[str, int, str], a: str, b: str) -> str:
+    """A :data:`~repro.core.pattern.COMPARISONS` entry as SQL between the
+    column prefixes ``a`` and ``b``."""
+    field, offset, op = comparison
+    return f"{a}_{field}{f' + {offset}' if offset else ''} {op} {b}_{field}"
 
 
 def _cross_conditions(
-    pattern: Pattern,
-    left_positions: set[int],
-    right_positions: set[int],
-    strategy: str,
+    pattern: Pattern, left: set[int], right: set[int], strategy: str
 ) -> list[str]:
-    """All predicate conditions (SQL) spanning two disjoint bound position sets.
-
-    Includes declared predicates, the implied temporal total order for SEQ
-    patterns (what the lazy NFA / ZStream actually check — DESIGN.md §3),
-    a distinct-event guard for duplicate types, and — under the
-    ``contiguity`` strategy — serial adjacency between pattern-adjacent
-    positive positions.
-    """
-    conds: list[str] = []
-    for q in pattern.predicates:
-        if (q.i in left_positions and q.j in right_positions) or (
-            q.j in left_positions and q.i in right_positions
-        ):
-            conds.append(_pred_expr(q, f"p{q.i}", f"p{q.j}"))
-    positives = set(pattern.positive())
-    for a in sorted(left_positions & positives):
-        for b in sorted(right_positions & positives):
-            lo, hi = min(a, b), max(a, b)
-            if pattern.op is Op.SEQ:
-                conds.append(f"p{lo}_ts < p{hi}_ts")
-            elif pattern.types[a] == pattern.types[b]:
-                conds.append(f"p{lo}_id != p{hi}_id")
-    if strategy == "contiguity":
-        order = sorted(positives)
-        bound = left_positions | right_positions
-        for a, b in zip(order, order[1:]):
-            spans = (a in left_positions) != (b in left_positions)
-            if a in bound and b in bound and spans:
-                conds.append(f"p{b}_serial = p{a}_serial + 1")
-    return conds
+    """The SQL of every condition spanning two disjoint sets of bound
+    positive positions: :meth:`Pattern.pair_conditions` of each pair with
+    one position on each side (DESIGN.md §3)."""
+    return [
+        _sql(c, f"p{i}", f"p{j}")
+        for a in sorted(left)
+        for b in sorted(right)
+        for i, j in [sorted((a, b))]
+        for c in pattern.pair_conditions(i, j, strategy)
+    ]
 
 
 def _hash_join(left: DataFrame, right: DataFrame, conds: list[str], how: str) -> DataFrame:
@@ -183,26 +152,34 @@ def _apply_negations(
     """Left-anti join every negated position whose dependencies are bound
     (§5.3: the absence check runs at the earliest possible point), and
     remove those positions from ``pending``. ``wid`` names ``cur``'s
-    window-id column."""
+    window-id column. Its pairs render :data:`~repro.core.pattern.COMPARISONS`
+    but are its own, with no distinct-event guard (DESIGN.md §3)."""
     applied = [j for j, deps in sorted(pending.items()) if deps <= bound]
     for j in applied:
-        deps = pending.pop(j)
-        neg = _position_df(events, pattern, j, prefix="n")
-        conds = [f"n{j}_wid = {wid}"]
+        deps, n = pending.pop(j), f"n{j}"
+        # (kind, lower prefix, upper prefix): in a SEQ the temporal
+        # neighbours, j's nearest dependencies on each side
+        # (negation_dependencies), then the declared partners.
+        pairs = []
         if pattern.op is Op.SEQ:
-            # The temporal neighbours are j's nearest dependencies on each
-            # side (negation_dependencies).
             if below := [i for i in deps if i < j]:
-                conds.append(f"p{max(below)}_ts < n{j}_ts")
+                pairs.append(("ts_lt", f"p{max(below)}", n))
             if above := [i for i in deps if i > j]:
-                conds.append(f"n{j}_ts < p{min(above)}_ts")
-        for q in pattern.predicates:
-            if q.i == j and q.j in bound:
-                conds.append(_pred_expr(q, f"n{j}", f"p{q.j}"))
-            elif q.j == j and q.i in bound:
-                conds.append(_pred_expr(q, f"p{q.i}", f"n{j}"))
-        cur = _hash_join(cur, neg, conds, "left_anti")
+                pairs.append(("ts_lt", n, f"p{min(above)}"))
+        pairs += [(q.kind, n, f"p{q.j}") for q in pattern.predicates if q.i == j and q.j in bound]
+        pairs += [(q.kind, f"p{q.i}", n) for q in pattern.predicates if q.j == j and q.i in bound]
+        conds = [f"{n}_wid = {wid}"]
+        conds += [_sql(COMPARISONS[k], a, b) for k, a, b in pairs if COMPARISONS[k]]
+        cur = _hash_join(cur, _position_df(events, pattern, j, prefix="n"), conds, "left_anti")
     return cur
+
+
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("any", "contiguity"):
+        raise ValueError(
+            "join engine supports 'any' and 'contiguity'; use the event "
+            "engine for skip-till-next-match"
+        )
 
 
 def _observed(df: DataFrame) -> tuple[DataFrame, Observation]:
@@ -353,11 +330,7 @@ def execute_planned(
     :func:`_measured_window_counts` output so batch harnesses running many
     plans over one cached stream skip the measurement action.
     """
-    if strategy not in ("any", "contiguity"):
-        raise ValueError(
-            "join engine supports 'any' and 'contiguity'; use the event "
-            "engine for skip-till-next-match"
-        )
+    _check_strategy(strategy)
     if planned.order_plan is not None:
         root, report = left_deep_tree(planned.order_plan.order).root, _order_report
     else:

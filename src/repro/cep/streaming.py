@@ -33,7 +33,7 @@ from pyspark.sql import types as T
 
 from repro.core.pattern import Pattern
 from repro.core.planner import PlannedPattern
-from .join_engine import _cross_conditions, _engine_conf, _position_df
+from .join_engine import _check_strategy, _cross_conditions, _engine_conf, _position_df
 
 _SCHEMA = T.StructType(
     [
@@ -86,6 +86,7 @@ def execute_order_plan_streaming(
     Supports pure SEQ/AND patterns (the paper's streaming core); NOT and
     KL require the batch engine's anti-join/aggregation stages.
     """
+    _check_strategy(strategy)
     pattern, stats, plan = planned.pattern, planned.stats, planned.order_plan
     if plan is None:
         raise ValueError("planned pattern carries no order plan")

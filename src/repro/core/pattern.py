@@ -16,6 +16,8 @@ Predicates are pairwise (the paper's presentational assumption): each
 :class:`Predicate` relates two distinct positions ``i < j`` and carries an
 executable ``kind`` understood by the engines plus a selectivity estimate
 used by the cost models. There are no unary filter conditions ``c_{i,i}``.
+:meth:`Pattern.pair_conditions` lists a pair's conditions, declared and
+implied, as :data:`COMPARISONS` entries: the one rule every engine renders.
 """
 from __future__ import annotations
 
@@ -31,15 +33,22 @@ class Op(enum.Enum):
     OR = "OR"
 
 
-#: Predicate kinds the engines know how to execute. ``i``/``j`` refer to
-#: pattern positions; ``a``/``b`` below denote the events bound at them.
-#:
-#: - ``diff_lt``:   a.diff < b.diff           (the paper's stock predicate)
-#: - ``diff_gt``:   a.diff > b.diff
-#: - ``ts_lt``:     a.ts < b.ts               (temporal order, §5.1)
-#: - ``serial_adj``: b.serial == a.serial + 1 (strict contiguity, §6.2)
-#: - ``true``:      always satisfied (selectivity bookkeeping only)
-PREDICATE_KINDS = ("diff_lt", "diff_gt", "ts_lt", "serial_adj", "true")
+#: What each predicate kind compares between the events ``a`` and ``b`` at
+#: positions ``i < j``: ``(field, offset, op)`` means ``a.field + offset <op>
+#: b.field``. ``true`` compares nothing (selectivity bookkeeping only).
+COMPARISONS = {
+    "diff_lt": ("diff", 0, "<"),  # the paper's stock predicate
+    "diff_gt": ("diff", 0, ">"),
+    "ts_lt": ("ts", 0, "<"),  # temporal order, §5.1
+    "serial_adj": ("serial", 1, "=="),  # strict contiguity, §6.2
+    "true": None,
+}
+
+#: Predicate kinds the engines know how to execute.
+PREDICATE_KINDS = tuple(COMPARISONS)
+
+#: Distinct events, which two positions of one type in an AND require.
+DISTINCT = ("id", 0, "!=")
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,24 @@ class Pattern:
     def is_pure(self) -> bool:
         """True if the pattern has no unary operators (paper §2.1)."""
         return not self.negated and not self.kleene and self.op is not Op.OR
+
+    def pair_conditions(self, i: int, j: int, strategy: str) -> list[tuple[str, int, str]]:
+        """Every condition c_{i,j} between positive positions ``i < j``, as
+        :data:`COMPARISONS` entries without duplicates, in order: the SEQ
+        order (§5.1) or, for one type twice in an AND, distinct events;
+        under ``contiguity``, serial adjacency of consecutive positive
+        positions (§6.2); the declared predicates."""
+        if not 0 <= i < j < len(self.types) or {i, j} & self.negated:
+            raise ValueError(f"({i}, {j}) is not a pair of positive positions i < j")
+        conds = []
+        if self.op is Op.SEQ:
+            conds.append(COMPARISONS["ts_lt"])
+        elif self.types[i] == self.types[j]:
+            conds.append(DISTINCT)
+        if strategy == "contiguity" and self.negated.issuperset(range(i + 1, j)):
+            conds.append(COMPARISONS["serial_adj"])
+        conds += [COMPARISONS[p.kind] for p in self.predicates if (p.i, p.j) == (i, j)]
+        return [c for c in dict.fromkeys(conds) if c is not None]
 
 
 def seq(types, predicates=(), window=1.0, negated=(), kleene=()) -> Pattern:

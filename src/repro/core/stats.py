@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pattern import Op, Pattern
+from .transformations import TS_SEL
 
 #: Cap on the Kleene inflation exponent so that ``2^{W·r}`` stays a finite,
 #: strictly ordered float even for dense streams. Anything above 2^64
@@ -113,10 +114,10 @@ class PatternStats:
         mode = temporal_mode
         if pattern.op is Op.SEQ and n > 1:
             if mode == "pairwise":
-                # Theorem 3 reduction: adjacent ts_lt predicates, sel 0.5.
+                # Theorem 3 reduction: adjacent ts_lt predicates (seq_to_and).
                 for k in range(n - 1):
-                    sel[k, k + 1] *= 0.5
-                    sel[k + 1, k] *= 0.5
+                    sel[k, k + 1] *= TS_SEL
+                    sel[k + 1, k] *= TS_SEL
         else:
             mode = "none"
         last = n - 1 if pattern.op is Op.SEQ and n > 0 else None

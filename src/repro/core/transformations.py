@@ -194,7 +194,8 @@ def to_dnf(
     """Flatten a nested operator tree into an OR of simple AND patterns.
 
     ``predicates`` maps ordered type-name pairs to ``(kind, selectivity)``;
-    a predicate is attached to every DNF term containing both names.
+    a predicate is attached to every DNF term containing both names. Given
+    in reverse, ``diff_lt`` and ``diff_gt`` swap; ``ts_lt``/``serial_adj`` raise.
     Returns a disjunctive :class:`Pattern` (or the single simple pattern
     when no OR is present).
     """
@@ -215,6 +216,8 @@ def to_dnf(
             if na in index and nb in index:
                 i, j = index[na], index[nb]
                 if i > j:
+                    if kind not in _FLIPPED_KIND:
+                        raise ValueError(f"{kind!r} of ({na!r}, {nb!r}) has no flipped kind")
                     i, j = j, i
                     kind = _FLIPPED_KIND[kind]
                 preds.append(Predicate(i, j, kind=kind, sel=sel))

@@ -1,7 +1,17 @@
 """Unit tests for the CEP pattern model (repro.core.pattern)."""
 import pytest
 
-from repro.core.pattern import Op, Pattern, Predicate, conj, disj, seq
+from repro.core.pattern import (
+    COMPARISONS,
+    DISTINCT,
+    PREDICATE_KINDS,
+    Op,
+    Pattern,
+    Predicate,
+    conj,
+    disj,
+    seq,
+)
 
 
 class TestPredicate:
@@ -67,6 +77,55 @@ class TestPattern:
     def test_negation_position_range(self):
         with pytest.raises(ValueError):
             seq("AB", negated=(7,))
+
+
+TS_LT, SERIAL_ADJ, DIFF_LT = (COMPARISONS[k] for k in ("ts_lt", "serial_adj", "diff_lt"))
+
+
+class TestPairConditions:
+    def test_kinds_are_the_comparison_table(self):
+        assert PREDICATE_KINDS == ("diff_lt", "diff_gt", "ts_lt", "serial_adj", "true")
+        assert COMPARISONS["serial_adj"] == ("serial", 1, "==")
+        assert COMPARISONS["true"] is None
+
+    def test_seq_order_on_every_pair(self):
+        p = seq("ABC")
+        assert p.pair_conditions(0, 2, "any") == [TS_LT]
+
+    def test_and_of_distinct_types_has_none(self):
+        assert conj("AB").pair_conditions(0, 1, "any") == []
+
+    def test_repeated_and_type_needs_distinct_events(self):
+        p = conj("ABA")
+        assert p.pair_conditions(0, 2, "any") == [DISTINCT]
+        assert p.pair_conditions(0, 1, "any") == []
+
+    def test_contiguity_joins_consecutive_positive_positions(self):
+        p = seq("ABCD", negated=(1,))
+        assert p.pair_conditions(0, 2, "contiguity") == [TS_LT, SERIAL_ADJ]
+        assert p.pair_conditions(2, 3, "contiguity") == [TS_LT, SERIAL_ADJ]
+        assert p.pair_conditions(0, 3, "contiguity") == [TS_LT]
+        assert p.pair_conditions(0, 2, "next") == [TS_LT]
+
+    def test_declared_after_implied_without_duplicates(self):
+        preds = (
+            Predicate(0, 1, "diff_lt"),
+            Predicate(0, 1, "ts_lt"),
+            Predicate(0, 1, "serial_adj"),
+            Predicate(0, 1, "diff_lt"),
+            Predicate(0, 1, "true"),
+        )
+        assert seq("AB", preds).pair_conditions(0, 1, "contiguity") == [
+            TS_LT,
+            SERIAL_ADJ,
+            DIFF_LT,
+        ]
+        assert conj("AB", preds).pair_conditions(0, 1, "any") == [DIFF_LT, TS_LT, SERIAL_ADJ]
+
+    @pytest.mark.parametrize("i, j", [(1, 0), (0, 0), (0, 3), (0, 1)])
+    def test_rejects_other_than_positive_pairs(self, i, j):
+        with pytest.raises(ValueError):
+            seq("ABC", negated=(1,)).pair_conditions(i, j, "any")
 
 
 class TestDisjunction:

@@ -102,3 +102,13 @@ class TestStreaming:
         pp = plan_simple(p, st.rates_for(p.types), "TRIVIAL")
         with pytest.raises(ValueError):
             execute_order_plan_streaming(spark, pp, staged)
+
+    @pytest.mark.parametrize("strategy", ["next", "bogus"])
+    def test_unsupported_strategy_rejected_before_the_query(self, spark, tmp_path, strategy):
+        """No input exists, so only a check made before the query starts
+        can give the join engine's ValueError."""
+        p = seq(("A", "B"), (), 1.0)
+        pp = plan_simple(p, {"A": 1.0, "B": 1.0}, "TRIVIAL")
+        with pytest.raises(ValueError, match="join engine supports"):
+            execute_order_plan_streaming(spark, pp, str(tmp_path / "absent"), strategy=strategy)
+        assert not spark.streams.active

@@ -188,6 +188,27 @@ class TestDNF:
         q = p.predicates[0]
         assert (q.i, q.j, q.kind) == (0, 1, "diff_gt")
 
+    @pytest.mark.parametrize(
+        "kind, flipped", [("diff_lt", "diff_gt"), ("diff_gt", "diff_lt"), ("true", "true")]
+    )
+    def test_reversed_kinds_flip(self, kind, flipped):
+        p = to_dnf(
+            op_and(event("A"), event("B")),
+            window=2.0,
+            predicates={("B", "A"): (kind, 0.3)},
+        )
+        assert [(q.i, q.j, q.kind) for q in p.predicates] == [(0, 1, flipped)]
+
+    @pytest.mark.parametrize("kind", ["ts_lt", "serial_adj"])
+    def test_reversed_order_kind_is_a_clear_error(self, kind):
+        # There is no ts_gt or serial predecessor kind to flip to.
+        with pytest.raises(ValueError, match=kind):
+            to_dnf(
+                op_and(event("A"), event("B")),
+                window=2.0,
+                predicates={("B", "A"): (kind, 0.5)},
+            )
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             to_dnf(op_and(event("A"), event("A")), window=2.0)
