@@ -8,7 +8,7 @@
   (§2.2) as an order's left-deep instance tree.
 - :mod:`repro.cep.event_engine` — the detectors parallelized across time
   windows with ``applyInPandas``.
-- :mod:`repro.cep.streaming` — Structured Streaming execution of an
-  order-based plan via chained stream-stream joins over the join engine's
-  leaves.
+- :mod:`repro.cep.streaming` — Structured Streaming execution of any
+  plan: the join engine's builder run on a streaming input, as a tree of
+  stream-stream joins.
 """

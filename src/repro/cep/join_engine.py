@@ -39,6 +39,7 @@ the driver's round trips to the JVM few.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.pattern import COMPARISONS, Op, Pattern
+from repro.core.pattern import COMPARISONS, DISTINCT, Op, Pattern
 from repro.core.planner import PlannedPattern
 from repro.core.plans import TreeNode, left_deep_tree
 from repro.core.transformations import negation_dependencies
@@ -153,7 +154,8 @@ def _apply_negations(
     (§5.3: the absence check runs at the earliest possible point), and
     remove those positions from ``pending``. ``wid`` names ``cur``'s
     window-id column. Its pairs render :data:`~repro.core.pattern.COMPARISONS`
-    but are its own, with no distinct-event guard (DESIGN.md §3)."""
+    and, in an AND, :data:`~repro.core.pattern.DISTINCT`, but are its own
+    (DESIGN.md §3)."""
     applied = [j for j, deps in sorted(pending.items()) if deps <= bound]
     for j in applied:
         deps, n = pending.pop(j), f"n{j}"
@@ -170,6 +172,11 @@ def _apply_negations(
         pairs += [(q.kind, f"p{q.i}", n) for q in pattern.predicates if q.j == j and q.i in bound]
         conds = [f"{n}_wid = {wid}"]
         conds += [_sql(COMPARISONS[k], a, b) for k, a, b in pairs if COMPARISONS[k]]
+        if pattern.op is Op.AND:
+            # In an AND the absent event is another event than each
+            # positive one of its type (negation_dependencies binds them).
+            same = [i for i in sorted(deps) if pattern.types[i] == pattern.types[j]]
+            conds += [_sql(DISTINCT, n, f"p{i}") for i in same]
         cur = _hash_join(cur, _position_df(events, pattern, j, prefix="n"), conds, "left_anti")
     return cur
 
@@ -224,6 +231,14 @@ def _buffer(per_window: dict[str, float], n_windows: int, symbol: str) -> int:
     return int(round(per_window.get(symbol, 0.0) * n_windows))
 
 
+def _root(planned: PlannedPattern) -> TreeNode:
+    """The plan's join tree: an order plan runs as its left-deep tree
+    (Theorem 1), a tree plan as its own tree (Theorem 2)."""
+    if planned.order_plan is not None:
+        return left_deep_tree(planned.order_plan.order).root
+    return planned.tree_plan.root
+
+
 def _build(
     events: DataFrame,
     planned: PlannedPattern,
@@ -235,26 +250,48 @@ def _build(
     """The plan tree as one lazy DataFrame chain of window joins, and the
     size of every node by mask, in post-order. A leaf built while no
     negation is left to place has its measured buffer as size; every other
-    node has an observed count, filled in by the chain's action."""
+    node has an observed count, filled in by the chain's action.
+
+    On a streaming ``events`` the joins are stream-stream joins: each leaf
+    gets an event-time column ``p{i}_et`` with a watermark, each join a
+    range conjunct on its two anchors' event times, which bounds the join
+    state, and no node is counted (an ``Observation`` cannot observe a
+    streaming Dataset)."""
     pattern, stats = planned.pattern, planned.stats
     pending = dict(negation_dependencies(pattern))
     sizes: dict[int, int | Observation] = {}
+    streaming = events.isStreaming
+    # Same tumbling window ⇒ |Δt| < W ≤ ⌈W⌉: whole seconds, rounded up so
+    # that a fractional window keeps all of its pairs.
+    within = math.ceil(pattern.window)
 
     def build(node: TreeNode) -> tuple[DataFrame, set[int], str]:
-        """Returns (df, bound pattern positions, wid anchor column)."""
+        """Returns (df, bound pattern positions, anchor prefix ``p{i}``),
+        the anchor being the position whose window id the node keeps."""
         if node.is_leaf():
             i = stats.positions[node.leaf]
-            df, bound, anchor = _position_df(events, pattern, i), {i}, f"p{i}_wid"
-            if not pending:
+            df, bound, anchor = _position_df(events, pattern, i), {i}, f"p{i}"
+            if streaming:
+                df = df.withColumn(f"{anchor}_et", F.timestamp_seconds(f"{anchor}_ts"))
+                df = df.withWatermark(f"{anchor}_et", f"{within + 1} seconds")
+            elif not pending:
                 sizes[node.mask] = _buffer(per_window, n_windows, pattern.types[i])
                 return df, bound, anchor
         else:
             ldf, lpos, anchor = build(node.left)
-            rdf, rpos, ranchor = build(node.right)
-            conds = [f"{anchor} = {ranchor}", *_cross_conditions(pattern, lpos, rpos, strategy)]
-            df, bound = _hash_join(ldf, rdf, conds, "inner").drop(ranchor), lpos | rpos
-        df = _apply_negations(df, events, pattern, bound, pending, wid=anchor)
-        df, sizes[node.mask] = _observed(df)
+            rdf, rpos, right = build(node.right)
+            conds = [f"{anchor}_wid = {right}_wid"]
+            if streaming:
+                conds.append(
+                    f"{right}_et BETWEEN {anchor}_et - INTERVAL {within} SECONDS"
+                    f" AND {anchor}_et + INTERVAL {within} SECONDS"
+                )
+            conds += _cross_conditions(pattern, lpos, rpos, strategy)
+            df = _hash_join(ldf, rdf, conds, "inner").drop(f"{right}_wid", f"{right}_et")
+            bound = lpos | rpos
+        df = _apply_negations(df, events, pattern, bound, pending, wid=f"{anchor}_wid")
+        if not streaming:
+            df, sizes[node.mask] = _observed(df)
         return df, bound, anchor
 
     return build(root)[0], sizes
@@ -331,10 +368,8 @@ def execute_planned(
     plans over one cached stream skip the measurement action.
     """
     _check_strategy(strategy)
-    if planned.order_plan is not None:
-        root, report = left_deep_tree(planned.order_plan.order).root, _order_report
-    else:
-        root, report = planned.tree_plan.root, _tree_report
+    root = _root(planned)
+    report = _order_report if planned.kind == "order" else _tree_report
     with _engine_conf(spark):
         per_window, n_events, n_windows = measured or _measured_window_counts(events)
         t0 = time.perf_counter()

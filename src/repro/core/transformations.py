@@ -52,8 +52,9 @@ def negation_dependencies(pattern: Pattern) -> dict[int, frozenset[int]]:
     For ``SEQ(A, NOT(B), C, D)`` the check for B runs once both A and C are
     bound (the temporal neighbours delimiting B's allowed interval); any
     position sharing a predicate with B is added as well. For AND patterns
-    only predicate partners matter — with none, the check is a pure
-    window-level absence test and can run at the first step.
+    predicate partners matter, and so does every positive position of the
+    negated type, whose event the negated one must not be; with none, the
+    check is a pure window-level absence test and can run at the first step.
     """
     deps: dict[int, frozenset[int]] = {}
     positive = set(pattern.positive())
@@ -68,6 +69,8 @@ def negation_dependencies(pattern: Pattern) -> dict[int, frozenset[int]]:
                 if i in positive:
                     d.add(i)
                     break
+        else:
+            d.update(i for i in positive if pattern.types[i] == pattern.types[j])
         for p in pattern.predicates:
             if p.i == j and p.j in positive:
                 d.add(p.j)

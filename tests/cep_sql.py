@@ -60,6 +60,9 @@ def pattern_sql(pattern: Pattern, *, strategy: str = "any", table: str = "ev") -
                 if i in aliases:
                     sub.append(f"n.ts < e{i}.ts")
                     break
+        else:
+            same = [i for i in positives if pattern.types[i] == pattern.types[j]]
+            sub += [f"n.event_id <> e{i}.event_id" for i in same]
         for q in pattern.predicates:
             if q.i == j and q.j in aliases:
                 sub.append(_pred_sql(q.kind, "n", f"e{q.j}"))

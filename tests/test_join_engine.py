@@ -172,6 +172,27 @@ class TestNegationPatterns:
         expected = {(0, 1): [149, 469, 172], (1, 0): [57, 469, 149]}
         self.check_edge_negation(spark, events, events_pdf, stats, p, expected)
 
+    @pytest.mark.parametrize("algorithm", ["TRIVIAL", "DP-B"])
+    def test_negated_type_repeating_a_positive_type(self, spark, algorithm):
+        """AND(A, B, NOT A) on one A and one B: the positive A is not also
+        the absent one, so the pair matches, as it matches AND(A, B)."""
+        pdf = pd.DataFrame(
+            {
+                "event_id": [0, 1],
+                "symbol": ["A", "B"],
+                "ts": [1.0, 2.0],
+                "wid": [0, 0],
+                "serial": [0, 1],
+                "price": 100.0,
+                "diff": 0.0,
+            }
+        )
+        p = conj(("A", "B", "A"), (), 10.0, negated=(2,))
+        planned = plan_simple(p, {"A": 1.0, "B": 1.0}, algorithm)
+        run = execute_planned(spark, spark.createDataFrame(pdf), planned)
+        assert run.metrics.n_matches == 1
+        assert_equivalent(run.matches, pattern_sql(p), ev=pdf)
+
 
 class TestKleenePatterns:
     @pytest.mark.parametrize("algorithm", ["DP-LD", "DP-B"])
