@@ -13,10 +13,11 @@ the §6.1 latency surrogate.
 Detection semantics (DESIGN.md §3): matches are event combinations
 sharing a tumbling window id, every ``Pattern.pair_conditions`` entry
 (declared, SEQ order, §6.2 contiguity adjacency) is rendered as SQL at the
-earliest join where both operands are bound, negated events become
-left-anti joins at the earliest dependency-satisfying step (§5.3), and a
-Kleene position is joined event-at-a-time with a final power-set
-aggregation (Σ(2^m − 1) logical matches, instance-shared as in [52]).
+earliest join where both operands are bound, each negated event is a
+left-anti join on its ``Pattern.absence_conditions`` at the earliest step
+that binds all their positive positions (§5.3), and a Kleene position is
+joined event-at-a-time with a final power-set aggregation (Σ(2^m − 1)
+logical matches, instance-shared as in [52]).
 
 Every intermediate result is counted — those counts are the paper's
 "number of partial matches" and feed the memory proxy; wall-clock time
@@ -48,10 +49,9 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.pattern import COMPARISONS, DISTINCT, Op, Pattern
+from repro.core.pattern import Op, Pattern
 from repro.core.planner import PlannedPattern
 from repro.core.plans import TreeNode, left_deep_tree
-from repro.core.transformations import negation_dependencies
 from .metrics import ExecutionMetrics
 
 @dataclass
@@ -147,37 +147,26 @@ def _apply_negations(
     events: DataFrame,
     pattern: Pattern,
     bound: set[int],
-    pending: dict[int, frozenset[int]],
+    pending: set[int],
     wid: str,
 ) -> DataFrame:
-    """Left-anti join every negated position whose dependencies are bound
-    (§5.3: the absence check runs at the earliest possible point), and
-    remove those positions from ``pending``. ``wid`` names ``cur``'s
-    window-id column. Its pairs render :data:`~repro.core.pattern.COMPARISONS`
-    and, in an AND, :data:`~repro.core.pattern.DISTINCT`, but are its own
-    (DESIGN.md §3)."""
-    applied = [j for j, deps in sorted(pending.items()) if deps <= bound]
-    for j in applied:
-        deps, n = pending.pop(j), f"n{j}"
-        # (kind, lower prefix, upper prefix): in a SEQ the temporal
-        # neighbours, j's nearest dependencies on each side
-        # (negation_dependencies), then the declared partners.
-        pairs = []
-        if pattern.op is Op.SEQ:
-            if below := [i for i in deps if i < j]:
-                pairs.append(("ts_lt", f"p{max(below)}", n))
-            if above := [i for i in deps if i > j]:
-                pairs.append(("ts_lt", n, f"p{min(above)}"))
-        pairs += [(q.kind, n, f"p{q.j}") for q in pattern.predicates if q.i == j and q.j in bound]
-        pairs += [(q.kind, f"p{q.i}", n) for q in pattern.predicates if q.j == j and q.i in bound]
-        conds = [f"{n}_wid = {wid}"]
-        conds += [_sql(COMPARISONS[k], a, b) for k, a, b in pairs if COMPARISONS[k]]
-        if pattern.op is Op.AND:
-            # In an AND the absent event is another event than each
-            # positive one of its type (negation_dependencies binds them).
-            same = [i for i in sorted(deps) if pattern.types[i] == pattern.types[j]]
-            conds += [_sql(DISTINCT, n, f"p{i}") for i in same]
-        cur = _hash_join(cur, _position_df(events, pattern, j, prefix="n"), conds, "left_anti")
+    """Left-anti join every pending negated position whose
+    :meth:`Pattern.absence_conditions` partners are all bound (§5.3: the
+    absence check runs at the earliest possible point), rendering those
+    conditions as SQL, and remove it from ``pending``. ``wid`` names
+    ``cur``'s window-id column."""
+    for j in sorted(pending):
+        conds, n = pattern.absence_conditions(j), f"n{j}"
+        if not conds.keys() <= bound:
+            continue
+        pending.remove(j)
+        sql = [f"{n}_wid = {wid}"]
+        sql += [
+            _sql(c, n, f"p{i}") if left else _sql(c, f"p{i}", n)
+            for i, cs in conds.items()
+            for c, left in cs
+        ]
+        cur = _hash_join(cur, _position_df(events, pattern, j, prefix="n"), sql, "left_anti")
     return cur
 
 
@@ -258,7 +247,7 @@ def _build(
     state, and no node is counted (an ``Observation`` cannot observe a
     streaming Dataset)."""
     pattern, stats = planned.pattern, planned.stats
-    pending = dict(negation_dependencies(pattern))
+    pending = set(pattern.negated)
     sizes: dict[int, int | Observation] = {}
     streaming = events.isStreaming
     # Same tumbling window ⇒ |Δt| < W ≤ ⌈W⌉: whole seconds, rounded up so

@@ -18,6 +18,11 @@ executable ``kind`` understood by the engines plus a selectivity estimate
 used by the cost models. There are no unary filter conditions ``c_{i,i}``.
 :meth:`Pattern.pair_conditions` lists a pair's conditions, declared and
 implied, as :data:`COMPARISONS` entries: the one rule every engine renders.
+:meth:`Pattern.absence_conditions` does the same for a negated position
+(§5.3): what its absent event must satisfy against each positive position,
+whose keys are the positions the absence check waits for. A predicate
+between two negated positions is rejected: a joint absence is not a set of
+independent absence checks.
 """
 from __future__ import annotations
 
@@ -113,6 +118,8 @@ class Pattern:
         for p in self.predicates:
             if not (0 <= p.i < p.j < n):
                 raise ValueError(f"predicate {p} out of range for n={n}")
+            if {p.i, p.j} <= self.negated:
+                raise ValueError(f"predicate {p} relates two negated positions")
         if self.negated & self.kleene:
             raise ValueError("a position cannot be both NOT and KL")
         for s in (self.negated, self.kleene):
@@ -154,6 +161,32 @@ class Pattern:
             conds.append(COMPARISONS["serial_adj"])
         conds += [COMPARISONS[p.kind] for p in self.predicates if (p.i, p.j) == (i, j)]
         return [c for c in dict.fromkeys(conds) if c is not None]
+
+    def absence_conditions(self, j: int) -> dict[int, list[tuple[tuple[str, int, str], bool]]]:
+        """What the absent event at negated position ``j`` must satisfy
+        (§5.3), by positive position ``i``: a list of (:data:`COMPARISONS`
+        entry, absent event is the left operand) without duplicates. In a
+        SEQ, the order against the nearest positive position on each side;
+        in an AND, distinct events from every positive position of ``j``'s
+        type; then the declared predicates, in their direction. A ``true``
+        partner has an empty list. The keys are the positions the absence
+        check depends on: it runs once they are all bound."""
+        if j not in self.negated:
+            raise ValueError(f"{j} is not a negated position")
+        conds: dict[int, list] = {}
+        pos = self.positive()
+        if self.op is Op.SEQ:
+            if below := [i for i in pos if i < j]:
+                conds[below[-1]] = [(COMPARISONS["ts_lt"], False)]
+            if above := [i for i in pos if i > j]:
+                conds[above[0]] = [(COMPARISONS["ts_lt"], True)]
+        else:
+            conds.update((i, [(DISTINCT, True)]) for i in pos if self.types[i] == self.types[j])
+        for p in self.predicates:
+            if j in (p.i, p.j):
+                i = p.j if p.i == j else p.i
+                conds.setdefault(i, []).append((COMPARISONS[p.kind], p.i == j))
+        return {i: [c for c in dict.fromkeys(cs) if c[0] is not None] for i, cs in conds.items()}
 
 
 def seq(types, predicates=(), window=1.0, negated=(), kleene=()) -> Pattern:

@@ -100,6 +100,8 @@ class PatternStats:
         counts = np.empty(n, dtype=float)
         for k, i in enumerate(pos):
             rate = rates[pattern.types[i]]
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"rate of {pattern.types[i]!r} is not finite and >= 0: {rate}")
             if i in pattern.kleene:
                 counts[k] = kleene_pseudo_count(rate, pattern.window)
             else:

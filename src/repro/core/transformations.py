@@ -7,9 +7,8 @@
   :meth:`repro.core.stats.PatternStats.from_pattern`: the KL position's
   count is inflated to ``2^{W·r}`` for planning
   (:func:`repro.core.stats.kleene_pseudo_count`).
-- :func:`negation_dependencies` — §5.3: for each negated position, the
-  positive positions that must be bound before the absence check can run
-  (its temporal neighbours in a SEQ plus every predicate partner).
+- Negation (§5.3) is planned as the positive part alone; each absence
+  check is placed by :meth:`repro.core.pattern.Pattern.absence_conditions`.
 - :func:`to_dnf` — §5.4: flatten an arbitrarily nested operator tree into
   a disjunction of simple conjunctive patterns (sequences contribute
   their temporal predicates via Theorem 3 on the way).
@@ -44,40 +43,6 @@ def seq_to_and(pattern: Pattern) -> Pattern:
         Predicate(i, i + 1, kind="ts_lt", sel=TS_SEL) for i in range(n - 1)
     )
     return replace(pattern, op=Op.AND, predicates=pattern.predicates + extra)
-
-
-def negation_dependencies(pattern: Pattern) -> dict[int, frozenset[int]]:
-    """Positive positions each negated position depends on (§5.3).
-
-    For ``SEQ(A, NOT(B), C, D)`` the check for B runs once both A and C are
-    bound (the temporal neighbours delimiting B's allowed interval); any
-    position sharing a predicate with B is added as well. For AND patterns
-    predicate partners matter, and so does every positive position of the
-    negated type, whose event the negated one must not be; with none, the
-    check is a pure window-level absence test and can run at the first step.
-    """
-    deps: dict[int, frozenset[int]] = {}
-    positive = set(pattern.positive())
-    for j in sorted(pattern.negated):
-        d: set[int] = set()
-        if pattern.op is Op.SEQ:
-            for i in range(j - 1, -1, -1):
-                if i in positive:
-                    d.add(i)
-                    break
-            for i in range(j + 1, len(pattern.types)):
-                if i in positive:
-                    d.add(i)
-                    break
-        else:
-            d.update(i for i in positive if pattern.types[i] == pattern.types[j])
-        for p in pattern.predicates:
-            if p.i == j and p.j in positive:
-                d.add(p.j)
-            elif p.j == j and p.i in positive:
-                d.add(p.i)
-        deps[j] = frozenset(d)
-    return deps
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(pd.DataFrame({"symbol": [], "diff": []}), 10.0)
 
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            estimate(stock_events_pdf(CFG), duration)
+
     def test_max_samples_respected(self):
         ev = stock_events_pdf(CFG)
         st = estimate(ev, CFG.duration, max_samples=50)

@@ -194,6 +194,45 @@ class TestNegationPatterns:
         assert_equivalent(run.matches, pattern_sql(p), ev=pdf)
 
 
+    @pytest.mark.parametrize("algorithm", ["TRIVIAL", "DP-LD", "DP-B"])
+    @pytest.mark.parametrize(
+        "predicates",
+        [(), (Predicate(2, 3, "diff_lt", 0.5),)],
+        ids=["neighbours", "diff_lt_partner"],
+    )
+    def test_two_negated_positions(self, spark, events, events_pdf, stats, predicates, algorithm):
+        """SEQ(A, NOT B, NOT C, D): both absence checks wait for A and D."""
+        p = seq(("S00", "S01", "S02", "S03"), predicates, CFG.window, negated=(1, 2))
+        run = check_against_oracle(
+            spark, events, events_pdf, p, algorithm, rates=rates_of(stats, p)
+        )
+        assert run.metrics.n_matches > 0
+
+    @pytest.mark.parametrize("algorithm", ["TRIVIAL", "DP-B"])
+    def test_two_negations_in_a_conjunction(self, spark, algorithm):
+        """AND(A, B, NOT A, NOT C): only window 0 has an A and a B with no
+        other A and no C."""
+        windows = [["A", "B"], ["A", "B", "A"], ["A", "B", "C"], ["B"]]
+        symbols = [s for w in windows for s in w]
+        n = len(symbols)
+        pdf = pd.DataFrame(
+            {
+                "event_id": np.arange(n),
+                "symbol": symbols,
+                "ts": np.arange(n, dtype=float),
+                "wid": [k for k, w in enumerate(windows) for _ in w],
+                "serial": np.arange(n),
+                "price": 100.0,
+                "diff": 0.0,
+            }
+        )
+        p = conj(("A", "B", "A", "C"), (), 10.0, negated=(2, 3))
+        planned = plan_simple(p, {"A": 1.0, "B": 1.0, "C": 1.0}, algorithm)
+        run = execute_planned(spark, spark.createDataFrame(pdf), planned)
+        assert run.metrics.n_matches == 1
+        assert_equivalent(run.matches, pattern_sql(p), ev=pdf)
+
+
 class TestKleenePatterns:
     @pytest.mark.parametrize("algorithm", ["DP-LD", "DP-B"])
     def test_pre_aggregation_matches_oracle(

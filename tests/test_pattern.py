@@ -78,6 +78,11 @@ class TestPattern:
         with pytest.raises(ValueError):
             seq("AB", negated=(7,))
 
+    def test_predicate_between_negated_positions_rejected(self):
+        # Joint absence is not a set of independent absence checks.
+        with pytest.raises(ValueError, match="two negated positions"):
+            seq("ABCD", (Predicate(1, 2, "diff_lt", 0.3),), 10.0, negated=(1, 2))
+
 
 TS_LT, SERIAL_ADJ, DIFF_LT = (COMPARISONS[k] for k in ("ts_lt", "serial_adj", "diff_lt"))
 
@@ -126,6 +131,47 @@ class TestPairConditions:
     def test_rejects_other_than_positive_pairs(self, i, j):
         with pytest.raises(ValueError):
             seq("ABC", negated=(1,)).pair_conditions(i, j, "any")
+
+
+class TestAbsenceConditions:
+    def test_seq_orders_against_nearest_positive_neighbours(self):
+        assert seq("ABCD", negated=(1,)).absence_conditions(1) == {
+            0: [(TS_LT, False)],
+            2: [(TS_LT, True)],
+        }
+
+    def test_seq_skips_negated_neighbours(self):
+        p = seq("ABCDE", negated=(1, 2, 3))
+        for j in (1, 2, 3):
+            assert p.absence_conditions(j) == {0: [(TS_LT, False)], 4: [(TS_LT, True)]}
+
+    def test_and_distinct_from_every_positive_of_its_type(self):
+        p = conj("ABAA", negated=(2,))
+        assert p.absence_conditions(2) == {0: [(DISTINCT, True)], 3: [(DISTINCT, True)]}
+
+    def test_declared_predicates_keep_their_direction(self):
+        # q.i == j: the absent event is the left operand; q.j == j: the right.
+        preds = (Predicate(0, 2, "diff_lt"), Predicate(2, 3, "diff_gt"))
+        assert conj("ABCD", preds, negated=(2,)).absence_conditions(2) == {
+            0: [(DIFF_LT, False)],
+            3: [(COMPARISONS["diff_gt"], True)],
+        }
+
+    def test_declared_after_implied_without_duplicates(self):
+        preds = (Predicate(1, 2, "ts_lt"), Predicate(1, 2, "diff_lt"), Predicate(1, 2, "ts_lt"))
+        assert seq("ABC", preds, negated=(1,)).absence_conditions(1) == {
+            0: [(TS_LT, False)],
+            2: [(TS_LT, True), (DIFF_LT, True)],
+        }
+
+    def test_true_partner_is_a_dependency_with_no_condition(self):
+        p = conj("ABC", (Predicate(0, 1, "true"),), negated=(1,))
+        assert p.absence_conditions(1) == {0: []}
+
+    @pytest.mark.parametrize("j", [0, 2, 5])
+    def test_rejects_positive_positions(self, j):
+        with pytest.raises(ValueError):
+            seq("ABC", negated=(1,)).absence_conditions(j)
 
 
 class TestDisjunction:

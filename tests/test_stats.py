@@ -41,6 +41,16 @@ class TestConstruction:
         st = stats_for(pat)
         assert np.all(st.sel == 1.0)
 
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match="rate of 'A'"):
+            PatternStats.from_pattern(seq("ABC"), {**RATES, "A": rate})
+
+    def test_zero_rate_plans(self):
+        # An absent type plans with rate 0.0.
+        st = PatternStats.from_pattern(seq("ABC"), {**RATES, "A": 0.0})
+        assert st.counts[0] == 0.0
+
     def test_kleene_inflation(self):
         st = stats_for(conj("ABC", kleene=(2,), window=10.0))
         assert st.counts[2] == pytest.approx(2.0 ** (10.0 * 0.5))

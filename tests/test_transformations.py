@@ -7,7 +7,6 @@ from repro.core.transformations import (
     TS_SEL,
     OpNode,
     event,
-    negation_dependencies,
     op_and,
     op_or,
     op_seq,
@@ -76,6 +75,12 @@ class TestKleene:
         st = PatternStats.from_pattern(p, RATES)
         res = dp_ld(Objective(st))
         assert res.plan.order[-1] == 1
+
+
+def negation_dependencies(pattern):
+    """The positions each absence check waits for (§5.3): the keys of
+    :meth:`Pattern.absence_conditions`."""
+    return {j: frozenset(pattern.absence_conditions(j)) for j in sorted(pattern.negated)}
 
 
 class TestNegationDependencies:
@@ -212,6 +217,14 @@ class TestDNF:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             to_dnf(op_and(event("A"), event("A")), window=2.0)
+
+    def test_predicate_between_negated_events_rejected(self):
+        with pytest.raises(ValueError, match="two negated positions"):
+            to_dnf(
+                op_seq(event("A"), event("B", negated=True), event("C", negated=True), event("D")),
+                window=2.0,
+                predicates={("B", "C"): ("diff_lt", 0.3)},
+            )
 
     def test_predicate_of_a_type_with_itself_rejected(self):
         # A predicate relates two distinct positions.
