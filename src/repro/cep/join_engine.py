@@ -8,7 +8,7 @@ DataFrames (§4.2). An **order-based plan** runs as its left-deep tree
 partial matches of length k of the lazy NFA (§4.1). Only the reporting
 differs by plan kind: the layout of the stage counts (an order plan
 reports the raw buffers of its later types, as a lazy NFA keeps them) and
-the §6.1 latency surrogate.
+what the §6.1 latency surrogate measures of ``latency_scan``'s masks.
 
 Detection semantics (DESIGN.md §3): matches are event combinations
 sharing a tumbling window id, every ``Pattern.pair_conditions`` entry
@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.pattern import Op, Pattern
+from repro.core.cost_model import latency_scan
+from repro.core.pattern import Pattern
 from repro.core.planner import PlannedPattern
 from repro.core.plans import TreeNode, left_deep_tree
 from .metrics import ExecutionMetrics
@@ -299,19 +300,17 @@ def _order_report(
     of the remaining types: a lazy NFA buffers every event of a type, so a
     negation checked on that type alone does not shrink its buffer. The
     §6.1 latency is ``Cost^lat_ord`` measured: the per-window buffers of
-    the types succeeding T_n in the executed order.
+    the positions :func:`~repro.core.cost_model.latency_scan` scans.
     """
     pattern, stats = planned.pattern, planned.stats
     leaves = root.leaves_in_order()
     pos_sequence = [stats.positions[k] for k in leaves]
     joins = [sizes[n.mask] for n in root.nodes() if not n.is_leaf()]
     buffers = [_buffer(per_window, n_windows, pattern.types[i]) for i in pos_sequence[1:]]
-    latency = 0.0
-    if pattern.op is Op.SEQ:
-        idx = pos_sequence.index(stats.positions[stats.last_seq_position])
-        latency = float(
-            sum(per_window.get(pattern.types[i], 0.0) for i in pos_sequence[idx + 1 :])
-        )
+    scan = latency_scan(planned.order_plan, stats)
+    latency = float(
+        sum(per_window.get(pattern.types[stats.positions[m.bit_length() - 1]], 0.0) for m in scan)
+    )
     return [sizes[1 << leaves[0]], *joins, *buffers], latency
 
 
@@ -325,20 +324,11 @@ def _tree_report(
     """A tree plan's (intermediate counts, latency surrogate).
 
     Counts are every node's size in post-order. The §6.1 latency is
-    ``Cost^lat_tree`` measured: the partial matches buffered on the
-    siblings of T_n's ancestors, per window.
+    ``Cost^lat_tree`` measured: the observed sizes of the nodes
+    :func:`~repro.core.cost_model.latency_scan` scans, per window.
     """
-    pattern, stats = planned.pattern, planned.stats
-    latency = 0.0
-    if pattern.op is Op.SEQ:
-        last_bit = 1 << stats.last_seq_position
-        node = root
-        while not node.is_leaf():
-            sib = node.right if node.left.mask & last_bit else node.left
-            latency += sizes[sib.mask]
-            node = node.left if node.left.mask & last_bit else node.right
-        latency /= max(n_windows, 1)
-    return list(sizes.values()), latency
+    scan = latency_scan(planned.tree_plan, planned.stats)
+    return list(sizes.values()), sum(sizes[m] for m in scan) / max(n_windows, 1)
 
 
 def execute_planned(

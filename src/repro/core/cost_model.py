@@ -11,7 +11,7 @@ Implemented functions, with the paper's names:
 - :func:`cost_tree` — ``Cost_tree`` (§4.2): Σ PM over all tree-plan nodes.
 - :func:`cost_bj`   — ``Cost_BJ``   (§4.2): bushy join-tree cost,
   independently implemented (Theorem 2's counterpart).
-- :func:`cost_ord_lat` / :func:`cost_tree_lat` — ``Cost^lat`` (§6.1).
+- :func:`cost_lat` — ``Cost^lat`` (§6.1): Σ PM over :func:`latency_scan`.
 - :func:`cost_ord_next` / :func:`cost_tree_next` — ``Cost^next`` (§6.2),
   the skip-till-next-match model (also used for contiguity strategies).
 - :class:`Objective` — the planner-facing combination
@@ -128,34 +128,31 @@ def cost_bj(plan: TreePlan, stats: PatternStats) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cost_ord_lat(plan: OrderPlan, stats: PatternStats) -> float:
-    """``Cost^lat_ord`` — Σ W·r_i over the types succeeding T_n in the plan.
-
-    T_n is the temporally last positive event of a sequence pattern. For
-    conjunctive patterns the last arrival is unknown in advance (the paper
-    proposes an output profiler); we return 0 so that α has no effect —
+def latency_scan(plan: OrderPlan | TreePlan, stats: PatternStats) -> list[int]:
+    """The masks a match's completion scans once T_n, the temporally last
+    positive event of a sequence, arrives (§6.1): ``1 << t`` for each type
+    an order plan places after T_n, the sibling of each of T_n's ancestors
+    in a tree plan. An AND's last arrival is unknown in advance (the paper
+    proposes an output profiler), so it scans nothing and α has no effect;
     the paper's Fig 18 likewise uses sequence patterns only.
     """
     last = stats.last_seq_position
     if last is None:
-        return 0.0
-    idx = plan.order.index(last)
-    return float(sum(stats.counts[t] for t in plan.order[idx + 1 :]))
-
-
-def cost_tree_lat(plan: TreePlan, stats: PatternStats) -> float:
-    """``Cost^lat_tree`` — Σ PM(sibling(N)) over ancestors of T_n's leaf."""
-    last = stats.last_seq_position
-    if last is None:
-        return 0.0
-    bit = 1 << last
-    total = 0.0
-    node = plan.root
+        return []
+    if isinstance(plan, OrderPlan):
+        return [1 << t for t in plan.order[plan.order.index(last) + 1 :]]
+    scan, node = [], plan.root
     while not node.is_leaf():
-        sibling = node.right if node.left.mask & bit else node.left
-        total += stats.pm_of_mask(sibling.mask)
-        node = node.left if node.left.mask & bit else node.right
-    return total
+        on_left = node.left.mask >> last & 1
+        scan.append((node.right if on_left else node.left).mask)
+        node = node.left if on_left else node.right
+    return scan
+
+
+def cost_lat(plan: OrderPlan | TreePlan, stats: PatternStats) -> float:
+    """``Cost^lat_ord`` (Σ W·r_t after T_n, a position's PM being W·r_t) or
+    ``Cost^lat_tree`` (Σ PM(sibling(N)) over T_n's ancestors) (§6.1)."""
+    return float(sum(stats.pm_of_mask(m) for m in latency_scan(plan, stats)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +251,8 @@ class Objective:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0: {self.alpha}")
         trivial = OrderPlan(tuple(range(self.stats.n)))
         cost = cost_ord if self.strategy == "any" else cost_ord_next
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -284,11 +283,12 @@ class Objective:
         integer or, from :class:`SubsetTables`, an array of masks)."""
         return self._prefix_term(self._pm(mask, self.strategy != "any"))
 
-    def node_pm(self, mask: int) -> float:
-        """Normalized throughput contribution of one tree node, as a Python
-        float (ZStream's DP adds these in a scalar loop; DP-B divides
-        :class:`SubsetTables`' arrays by ``trpt_ref`` the same way)."""
-        return float(self._pm(mask, self.strategy != "any")) / self.trpt_ref
+    def node_pm(self, mask):
+        """Normalized throughput contribution of one tree node: a Python float
+        for an integer ``mask`` (ZStream's scalar loop), an array for an
+        array of masks (DP-B's layers, from :class:`SubsetTables`)."""
+        pm = self._pm(mask, self.strategy != "any") / self.trpt_ref
+        return pm if isinstance(mask, np.ndarray) else float(pm)
 
     def lat_step(self, mask, t: int):
         """α-weighted latency added by placing ``t`` after subset ``mask``.
@@ -302,23 +302,21 @@ class Objective:
         step = self.alpha * self.stats.counts[t] / self.lat_ref
         return np.where(mask >> last & 1 == 1, step, 0.0)
 
-    def lat_combine(self, mask_a: int, mask_b: int) -> float:
+    def lat_combine(self, mask_a, mask_b):
         """α-weighted latency added by a tree node joining two subtrees.
 
         When T_n sits in one subtree, the completion cascade scans the
         sibling subtree's buffered partial matches (§6.1): PM(sibling).
+        Masks are integers or, as in :meth:`node_pm`, arrays.
         """
         last = self.stats.last_seq_position
         if self.alpha == 0.0 or last is None:
             return 0.0
         bit = 1 << last
-        if mask_a & bit:
-            sib = mask_b
-        elif mask_b & bit:
-            sib = mask_a
-        else:
-            return 0.0
-        return self.alpha * float(self._pm(sib, False)) / self.lat_ref
+        sib = np.where(mask_a & bit, mask_b, mask_a)
+        term = self.alpha * self._pm(sib, False) / self.lat_ref
+        lat = np.where((mask_a | mask_b) & bit != 0, term, 0.0)
+        return lat if isinstance(mask_a, np.ndarray) else float(lat)
 
     # -- whole-plan evaluation ------------------------------------------------
     def order_cost(self, plan: OrderPlan) -> float:

@@ -27,6 +27,7 @@ independent absence checks.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -104,8 +105,8 @@ class Pattern:
     subpatterns: tuple["Pattern", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not 0 < self.window < math.inf:
+            raise ValueError(f"window must be positive and finite: {self.window}")
         if self.op is Op.OR:
             if not self.subpatterns:
                 raise ValueError("OR pattern requires subpatterns")

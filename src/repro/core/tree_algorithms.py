@@ -89,25 +89,20 @@ def dp_b(obj: Objective) -> PlanResult:
     (:meth:`~repro.core.cost_model.SubsetTables.layers`). For a layer's
     masks, every split is costed in one array: row S lists the right sides
     R = the non-empty submasks of S∖low in ascending order (so the left
-    sides L = S∖R descend), ``c = cost[L] + cost[R]`` plus
-    :meth:`~repro.core.cost_model.Objective.lat_combine`'s term only when
-    α ≠ 0 and the pattern has a last sequence position. ``np.argmin``
-    keeps the first minimum of each row: the largest left side wins a tie,
-    exactly as a strict-``<`` scan over descending left sides. A large
-    layer is costed in chunks of rows with at most ``_SPLIT_CHUNK``
-    splits (or one row); rows are independent, so chunking changes no
-    result. ``cost[S] = pm[S] / trpt_ref + c_min``, as ``node_pm`` does.
+    sides L = S∖R descend), ``c = cost[L] + cost[R] + lat_combine(L, R)``
+    (the last term skipped at α = 0), and ``np.argmin`` keeps the first
+    minimum of each row: the largest left side wins a tie, exactly as a
+    strict-``<`` scan over descending left sides. A large layer is costed
+    in chunks of rows with at most ``_SPLIT_CHUNK`` splits (or one row);
+    rows are independent, so chunking changes no result.
     """
     n = obj.stats.n
     tables = SubsetTables(obj)
     size = 1 << n
-    pm = tables.pm_any if tables.strategy == "any" else tables.pm_next
-    last = tables.stats.last_seq_position
-    lat_bit = 0 if tables.alpha == 0.0 or last is None else 1 << last
     cost = np.full(size, math.inf)
     split = np.zeros(size, dtype=np.int64)
     layers = tables.layers()
-    cost[layers[1]] = pm[layers[1]] / tables.trpt_ref
+    cost[layers[1]] = tables.node_pm(layers[1])
     for p, layer in enumerate(layers[2:], 2):
         half = 1 << (p - 1)
         per_chunk = max(1, _SPLIT_CHUNK // half)
@@ -123,15 +118,10 @@ def dp_b(obj: Objective) -> PlanResult:
             right = sub[:, 1:]
             left = masks[:, None] ^ right
             c = cost[left] + cost[right]
-            if lat_bit:
-                sib = np.where(left & lat_bit, right, left)
-                c += np.where(
-                    masks[:, None] & lat_bit,
-                    tables.alpha * tables.pm_any[sib] / tables.lat_ref,
-                    0.0,
-                )
+            if tables.alpha:
+                c += tables.lat_combine(left, right)
             rows, best = np.arange(len(masks)), np.argmin(c, axis=1)
-            cost[masks] = pm[masks] / tables.trpt_ref + c[rows, best]
+            cost[masks] = tables.node_pm(masks) + c[rows, best]
             split[masks] = left[rows, best]
 
     def build(mask: int) -> TreeNode:

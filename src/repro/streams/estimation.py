@@ -74,8 +74,8 @@ def estimate(
     """Measure rates and diff-distributions from an event stream."""
     if len(events) == 0:
         raise ValueError("cannot estimate statistics from an empty stream")
-    if not duration > 0:
-        raise ValueError(f"stream duration must be positive: {duration}")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"stream duration must be positive and finite: {duration}")
     g = np.random.default_rng(seed)
     rates: dict[str, float] = {}
     samples: dict[str, np.ndarray] = {}

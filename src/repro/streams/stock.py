@@ -45,7 +45,7 @@ class StreamConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.n_symbols < 1 or self.duration <= 0 or self.window <= 0:
+        if self.n_symbols < 1 or not (0 < self.duration < np.inf and 0 < self.window < np.inf):
             raise ValueError("invalid stream configuration")
         if not (0 < self.rate_min <= self.rate_max):
             raise ValueError("require 0 < rate_min <= rate_max")

@@ -57,25 +57,48 @@ class TestClosedForm:
     def test_cost_ord_lat(self):
         st = PatternStats.from_pattern(seq("ABC", window=10.0), RATES)
         # temporally last type C (planning pos 2); order (2,0,1): A,B follow
-        assert cm.cost_ord_lat(OrderPlan((2, 0, 1)), st) == pytest.approx(70.0)
-        assert cm.cost_ord_lat(OrderPlan((0, 1, 2)), st) == 0.0
+        assert cm.cost_lat(OrderPlan((2, 0, 1)), st) == pytest.approx(70.0)
+        assert cm.cost_lat(OrderPlan((0, 1, 2)), st) == 0.0
 
     def test_cost_ord_lat_conjunction_is_zero(self):
         st = PatternStats.from_pattern(conj("ABC", window=10.0), RATES)
-        assert cm.cost_ord_lat(OrderPlan((2, 0, 1)), st) == 0.0
+        assert cm.cost_lat(OrderPlan((2, 0, 1)), st) == 0.0
 
     def test_cost_tree_lat(self):
         st = PatternStats.from_pattern(seq("ABC", window=10.0), RATES)
         plan = left_deep_tree((2, 0, 1))  # ((C ⋈ A) ⋈ B), T_n = C
         # ancestors of C: node(C,A) sibling=leaf A (PM=20·1/2... no —
         # sibling PM is the leaf PM of A = 20); root sibling=leaf B (50).
-        assert cm.cost_tree_lat(plan, st) == pytest.approx(70.0)
+        assert cm.cost_lat(plan, st) == pytest.approx(70.0)
 
     def test_cost_tree_lat_last_on_top(self):
         st = PatternStats.from_pattern(seq("ABC", window=10.0), RATES)
         plan = left_deep_tree((0, 1, 2))  # ((A ⋈ B) ⋈ C)
         # only ancestor of C is the root; sibling = node(A,B), PM = 20·50/2
-        assert cm.cost_tree_lat(plan, st) == pytest.approx(500.0)
+        assert cm.cost_lat(plan, st) == pytest.approx(500.0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_latency_scan_shapes(self, n):
+        # Disjoint masks: an order scans the positions after T_n, a tree
+        # one node per ancestor of T_n, together every other position.
+        st = random_stats(n, n, op=Op.SEQ, temporal_mode="exact")
+        last = st.last_seq_position
+        for order in perms(n):
+            scan = cm.latency_scan(OrderPlan(order), st)
+            assert scan == [1 << t for t in order[order.index(last) + 1 :]]
+        for plan in all_tree_plans(n):
+            scan = cm.latency_scan(plan, st)
+            covered = 0
+            for m in scan:
+                assert m & covered == 0
+                covered |= m
+            assert covered == (1 << n) - 1 ^ 1 << last
+            assert set(scan) <= {node.mask for node in plan.root.nodes()}
+
+    def test_latency_scan_of_conjunction_is_empty(self):
+        st = random_stats(4, 0, op=Op.AND)
+        assert cm.latency_scan(OrderPlan((3, 0, 1, 2)), st) == []
+        assert cm.latency_scan(left_deep_tree((3, 0, 1, 2)), st) == []
 
     def test_cost_ord_next(self):
         st = PatternStats.from_pattern(
@@ -246,8 +269,8 @@ class TestASI:
                 tuple(idx[cut1:cut2]),
                 tuple(idx[cut2:]),
             )
-            c_uv = cm.cost_ord_lat(OrderPlan(a + u + v + b), st)
-            c_vu = cm.cost_ord_lat(OrderPlan(a + v + u + b), st)
+            c_uv = cm.cost_lat(OrderPlan(a + u + v + b), st)
+            c_vu = cm.cost_lat(OrderPlan(a + v + u + b), st)
             if last in u:
                 # rank(u) >= rank(v) = 0 — Theorem 6 case 3
                 assert c_vu <= c_uv + 1e-9
@@ -304,7 +327,7 @@ class TestObjective:
         obj = Objective(st, alpha=0.7)
         for p in perms(5)[:30]:
             plan = OrderPlan(p)
-            expected = cm.cost_ord(plan, st) / obj.trpt_ref + 0.7 * cm.cost_ord_lat(
+            expected = cm.cost_ord(plan, st) / obj.trpt_ref + 0.7 * cm.cost_lat(
                 plan, st
             ) / obj.lat_ref
             assert obj.order_cost(plan) == pytest.approx(expected, rel=1e-9)
@@ -313,7 +336,7 @@ class TestObjective:
         st = random_stats(4, 6, op=Op.SEQ, temporal_mode="exact")
         obj = Objective(st, alpha=0.5)
         for t in all_tree_plans(4):
-            expected = cm.cost_tree(t, st) / obj.trpt_ref + 0.5 * cm.cost_tree_lat(
+            expected = cm.cost_tree(t, st) / obj.trpt_ref + 0.5 * cm.cost_lat(
                 t, st
             ) / obj.lat_ref
             assert obj.tree_cost(t) == pytest.approx(expected, rel=1e-9)
@@ -326,7 +349,7 @@ class TestObjective:
         g = np.random.default_rng(0)
         for _ in range(5):
             plan = OrderPlan(tuple(int(i) for i in g.permutation(70)))
-            expected = cm.cost_ord(plan, st) / obj.trpt_ref + 0.5 * cm.cost_ord_lat(
+            expected = cm.cost_ord(plan, st) / obj.trpt_ref + 0.5 * cm.cost_lat(
                 plan, st
             ) / obj.lat_ref
             assert obj.order_cost(plan) == pytest.approx(expected, rel=1e-9)
@@ -371,6 +394,29 @@ class TestObjective:
             assert tables.lat_combine(0b0000011, 0b1111100) == obj.lat_combine(
                 0b0000011, 0b1111100
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("strategy", ["any", "next"])
+    def test_node_terms_on_arrays_are_scalar_calls(self, strategy, alpha):
+        # DP-B costs a layer's nodes and splits as arrays, ZStream one at a
+        # time: the same terms, equal with ==.
+        n = 6
+        st = random_stats(n, 5, op=Op.SEQ, temporal_mode="exact")
+        obj = Objective(st, alpha=alpha, strategy=strategy)
+        tables = SubsetTables(obj)
+        masks = np.arange(1, 1 << n)
+        node = tables.node_pm(masks)
+        for m, v in zip(masks.tolist(), node.tolist()):
+            assert v == tables.node_pm(m) == obj.node_pm(m)
+            assert type(obj.node_pm(m)) is float
+        splits = [(s ^ r, r) for s in range(1, 1 << n) for r in range(1, s) if r & s == r]
+        left, right = (np.array(side).reshape(-1, 2) for side in zip(*splits))
+        lat = np.broadcast_to(tables.lat_combine(left, right), left.shape)
+        for a, b, v in zip(left.flat, right.flat, lat.flat):
+            a, b = int(a), int(b)
+            assert v == tables.lat_combine(a, b) == obj.lat_combine(a, b)
+            assert type(obj.lat_combine(a, b)) is float
+        assert (lat != 0.0).any() == (alpha != 0.0)
 
     @pytest.mark.parametrize("mode", ["exact", "pairwise", "none"])
     @pytest.mark.parametrize("strategy", ["any", "next"])

@@ -17,6 +17,10 @@ parameter or variable annotated with it, a call of it or of a function or
 method annotated to return it, a field annotated with it, or an element of
 a ``tuple[C, ...]``/``list[C]`` so typed. A field name only one dataclass
 declares counts as read wherever it is read.
+
+One field has a single reader on purpose: T_n, the temporally last event
+of a sequence (``PatternStats.last_seq_position``), is read only in
+``core/cost_model.py``, so the §6.1 latency rule is written once.
 """
 import ast
 import collections
@@ -231,3 +235,15 @@ def test_every_dataclass_field_is_read():
         if cls not in visitor.reads[f] and not (declared.count(f) == 1 and visitor.reads[f])
     )
     assert not dead, f"dataclass fields nothing reads: {dead}"
+
+
+def test_last_seq_position_is_read_only_by_the_cost_model():
+    readers = sorted(
+        str(path.relative_to(SRC / "repro"))
+        for path in (SRC / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "last_seq_position"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert set(readers) == {"core/cost_model.py"}, f"T_n is read outside the cost model: {readers}"

@@ -1,4 +1,6 @@
 """Tests for statistics estimation (repro.streams.estimation)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -116,6 +118,12 @@ class TestEstimate:
 
     @pytest.mark.parametrize("duration", [0.0, -5.0])
     def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            estimate(stock_events_pdf(CFG), duration)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        # An infinite duration would make every rate 0.0.
         with pytest.raises(ValueError, match="duration"):
             estimate(stock_events_pdf(CFG), duration)
 

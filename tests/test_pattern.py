@@ -1,4 +1,6 @@
 """Unit tests for the CEP pattern model (repro.core.pattern)."""
+import math
+
 import pytest
 
 from repro.core.pattern import (
@@ -57,6 +59,13 @@ class TestPattern:
     def test_window_positive(self):
         with pytest.raises(ValueError):
             seq("AB", window=0)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf])
+    def test_window_finite(self, window):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            seq("ABC", window=window)
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            disj([seq("AB"), seq("BC")], window=window)
 
     def test_predicate_out_of_range(self):
         with pytest.raises(ValueError):

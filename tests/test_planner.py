@@ -1,4 +1,6 @@
 """Tests for the top-level planner dispatch (repro.core.planner)."""
+import math
+
 import pytest
 
 from repro.core import cost_model as cm
@@ -38,9 +40,20 @@ class TestPlanSimple:
         p = seq("ABCD", (Predicate(0, 3, sel=0.05),), window=10.0)
         a0 = plan_simple(p, RATES, "DP-LD", alpha=0.0)
         a1 = plan_simple(p, RATES, "DP-LD", alpha=1.0)
-        lat0 = cm.cost_ord_lat(a0.order_plan, a0.stats)
-        lat1 = cm.cost_ord_lat(a1.order_plan, a1.stats)
+        lat0 = cm.cost_lat(a0.order_plan, a0.stats)
+        lat1 = cm.cost_lat(a1.order_plan, a1.stats)
         assert lat1 <= lat0
+
+    @pytest.mark.parametrize("alg", sorted(ALGORITHM_KIND))
+    def test_alpha_must_be_finite_and_non_negative(self, alg):
+        # At α = NaN the planners would return plans costed nan or inf, and
+        # a negative α would reward latency; α > 1 is a valid weight.
+        p = seq("ABC", window=10.0)
+        rates = {"A": 1.0, "B": 0.5, "C": 2.0}
+        for alpha in (math.nan, math.inf, -math.inf, -5.0, -1e-9):
+            with pytest.raises(ValueError, match="alpha"):
+                plan_simple(p, rates, alg, alpha=alpha)
+        assert plan_simple(p, rates, alg, alpha=2.0).objective_cost > 0
 
     def test_strategy_next_supported(self):
         p = seq("ABC", window=10.0)

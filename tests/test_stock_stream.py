@@ -1,4 +1,6 @@
 """Tests for the synthetic stock stream (repro.streams.stock)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -30,6 +32,10 @@ class TestConfig:
             {"window": -1},
             {"rate_min": 0},
             {"rate_min": 2.0, "rate_max": 1.0},
+            {"duration": math.inf},
+            {"duration": math.nan},
+            {"window": math.inf},
+            {"window": math.nan},
         ],
     )
     def test_invalid_rejected(self, kw):
