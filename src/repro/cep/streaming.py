@@ -7,8 +7,9 @@ stream-stream joins:
 
 - the event stream is staged as time-sliced parquet files and replayed
   with ``maxFilesPerTrigger=1`` (a deterministic file-source stream);
-- the builder sees a streaming input, so each leaf gets an event-time
-  column with a watermark of ``⌈W⌉ + 1`` seconds and each join an
+- the builder sees a streaming input, so each leaf reads the stream
+  itself (never the batch engine's clustered copy) and gets an event-time
+  column with a watermark of ``⌈W⌉ + 1`` seconds, and each join an
   event-time range conjunct between its two anchors, which bounds the
   join state;
 - an order plan runs as its left-deep tree and a tree plan as its bushy
@@ -71,8 +72,8 @@ def execute_streaming(
     name = f"cep_{uuid.uuid4().hex[:10]}"
     # A streaming query keeps the shuffle-partition count it starts with,
     # and every micro-batch runs one state-store partition per shuffle
-    # partition per join, so start it under the join engine's
-    # SHUFFLE_PARTITIONS.
+    # partition per join, so start it under the join engine's settings:
+    # one shuffle partition per core.
     with _engine_conf(spark):
         cur, _ = _build(stream, planned, _root(planned), strategy, {}, 0)
         query = (

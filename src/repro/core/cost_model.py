@@ -294,13 +294,14 @@ class Objective:
         """α-weighted latency added by placing ``t`` after subset ``mask``.
 
         ``mask`` may be an integer array: DP-LD places ``t`` after a whole
-        layer of subsets at once.
+        layer of subsets at once. One mask gives a float.
         """
         last = self.stats.last_seq_position
         if self.alpha == 0.0 or last is None or t == last:
             return 0.0
         step = self.alpha * self.stats.counts[t] / self.lat_ref
-        return np.where(mask >> last & 1 == 1, step, 0.0)
+        lat = np.where(mask >> last & 1 == 1, step, 0.0)
+        return lat if isinstance(mask, np.ndarray) else float(lat)
 
     def lat_combine(self, mask_a, mask_b):
         """α-weighted latency added by a tree node joining two subtrees.

@@ -80,8 +80,9 @@ class Workbench:
             self.events_pdf, cfg.stream.duration, seed=cfg.seed
         )
         self.events = spark.createDataFrame(self.events_pdf).persist()
-        # One action both fills the cache and measures the stream for
-        # every run_join call.
+        # One action fills the cache, fills the join engine's clustered
+        # copy of the stream and measures the stream for every run_join
+        # call, so no timed row pays for either fill.
         self.measured = _measured_window_counts(self.events)
 
     def __enter__(self) -> "Workbench":

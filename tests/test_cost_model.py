@@ -418,6 +418,20 @@ class TestObjective:
             assert type(obj.lat_combine(a, b)) is float
         assert (lat != 0.0).any() == (alpha != 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_lat_step_on_arrays_is_scalar_calls(self, alpha):
+        # DP-LD places a position after a layer of masks at once, GREEDY
+        # after one mask: the same step, and a Python float for one mask.
+        n = 5
+        obj = Objective(random_stats(n, 7, op=Op.SEQ, temporal_mode="exact"), alpha=alpha)
+        masks = np.arange(1 << n)
+        for t in range(n):
+            steps = np.broadcast_to(obj.lat_step(masks, t), masks.shape)
+            for m, v in zip(masks.tolist(), steps.tolist()):
+                assert v == obj.lat_step(m, t)
+                assert type(obj.lat_step(m, t)) is float
+            assert (steps != 0.0).any() == (alpha != 0.0 and t != obj.stats.last_seq_position)
+
     @pytest.mark.parametrize("mode", ["exact", "pairwise", "none"])
     @pytest.mark.parametrize("strategy", ["any", "next"])
     def test_partial_order_rows(self, mode, strategy):

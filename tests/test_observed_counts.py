@@ -1,4 +1,5 @@
-"""Observed stage counts: exact, one Spark job per subplan, hash joins only.
+"""Observed stage counts: exact, one Spark job per subplan, hash joins only,
+no shuffle below a join.
 
 The join engine reads every stage's size from a ``DataFrame.observe``
 count filled in by the subplan's single action. ``EXPECTED`` holds the
@@ -11,14 +12,19 @@ the unit-test stream, and the benchmark's join calls on ``BENCH_STREAM``.
 Among those, the DP-B disjunction's first subplan has an internal node
 (64 rows) that feeds its parent's join directly: under a sort-merge join
 Spark stopped reading it after 63 rows.
+
+The engine reads a batch stream through one clustered copy, persisted and
+hash-partitioned on ``wid``; the last tests check that copy's life cycle.
 """
 import contextlib
 import io
 import re
 
 import pytest
+from pyspark import StorageLevel
 
 from benchmarks.bench_config import BENCH_STREAM
+from repro.cep import join_engine
 from repro.cep.join_engine import _engine_conf, _measured_window_counts, execute_pattern
 from repro.core.pattern import Op
 from repro.core.planner import plan_pattern
@@ -67,6 +73,7 @@ EXPECTED = {
 }
 
 _SCAN = re.compile(r"InMemoryTableScan \[[^\]]*\], \[[^\]]*\(symbol#\d+ = (\w+)\)")
+_EXCHANGE = re.compile(r"Exchange hashpartitioning\(([^()]*), \d+\)")
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +88,31 @@ def streams(spark):
         events.unpersist()
 
 
+def _in_group(spark, group, fn):
+    """``fn()``'s result and the ids of the Spark jobs it ran."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, "observed counts")
+    try:
+        out = fn()
+        return out, sorted(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+
+
+def _stages_run(spark, job) -> int:
+    """Stages of ``job`` that ran a task (a skipped stage runs none)."""
+    tracker = spark.sparkContext.statusTracker()
+    infos = [tracker.getStageInfo(s) for s in tracker.getJobInfo(job).stageIds]
+    return sum(1 for i in infos if i is not None and i.numCompletedTasks > 0)
+
+
+def _plan_case(stats, name, category, size, seed, planner):
+    pattern = make_pattern(category, size, stats, STREAMS[name].window, seed=seed)
+    subs = pattern.subpatterns if pattern.op is Op.OR else (pattern,)
+    rates = {t: stats.rates[t] for sp in subs for t in sp.types}
+    return subs, plan_pattern(pattern, rates, planner)
+
+
 def _executed_plan(spark, df) -> str:
     buf = io.StringIO()
     with _engine_conf(spark), contextlib.redirect_stdout(buf):
@@ -92,19 +124,12 @@ def _executed_plan(spark, df) -> str:
 def test_observed_counts_exact_one_job_per_subplan(spark, streams, case):
     name, category, size, seed, planner, strategy = case
     events, stats, measured = streams[name]
-    pattern = make_pattern(category, size, stats, STREAMS[name].window, seed=seed)
-    subs = pattern.subpatterns if pattern.op is Op.OR else (pattern,)
-    rates = {t: stats.rates[t] for sp in subs for t in sp.types}
-    planned = plan_pattern(pattern, rates, planner)
-
-    sc = spark.sparkContext
-    group = f"observed-{'-'.join(map(str, case))}"
-    sc.setJobGroup(group, "observed counts")
-    try:
-        runs, _ = execute_pattern(spark, events, planned, strategy=strategy, measured=measured)
-        jobs = sc.statusTracker().getJobIdsForGroup(group)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
+    subs, planned = _plan_case(stats, name, category, size, seed, planner)
+    (runs, _), jobs = _in_group(
+        spark,
+        f"observed-{'-'.join(map(str, case))}",
+        lambda: execute_pattern(spark, events, planned, strategy=strategy, measured=measured),
+    )
 
     got = [(r.metrics.intermediate_counts, r.metrics.n_matches) for r in runs]
     assert got == EXPECTED[case]
@@ -115,3 +140,58 @@ def test_observed_counts_exact_one_job_per_subplan(spark, streams, case):
         assert plan.count("ShuffledHashJoin") == len(sp.types) - 1
         # Every leaf keeps its symbol filter pushed into the cached scan.
         assert sorted(_SCAN.findall(plan)) == sorted(sp.types)
+        # Every leaf reads the clustered copy, so no join input is
+        # shuffled: the only exchanges are the copy's own, on the stream's
+        # `wid`, and a Kleene pattern's group-by on its match ids.
+        ids = ", ".join(f"p{i}_id" for i in sp.positive() if i not in sp.kleene)
+        allowed = {"wid", ids} if sp.kleene else {"wid"}
+        for keys in _EXCHANGE.findall(plan):
+            assert re.sub(r"#\d+L?", "", keys) in allowed, keys
+
+
+def _fresh_stream(spark, seed):
+    """A new, unmeasured stream DataFrame and its pandas-measured counts."""
+    cfg = StreamConfig(n_symbols=6, duration=600.0, window=60.0, seed=seed)
+    pdf = stock_events_pdf(cfg)
+    n_windows = int(pdf["wid"].nunique())
+    per_window = {s: c / n_windows for s, c in pdf["symbol"].value_counts().items()}
+    stats = estimate(pdf, cfg.duration, seed=0)
+    return spark.createDataFrame(pdf), stats, (per_window, len(pdf), n_windows)
+
+
+def test_clustered_copy_is_filled_once_and_reused(spark):
+    """A fresh stream's first call fills the copy inside its own job, one
+    job per subplan; a second call reuses the copy and its leaf frames,
+    so every job runs one stage."""
+    events, stats, measured = _fresh_stream(spark, seed=61)
+    _, planned = _plan_case(stats, "test", "disjunction", 3, 44, "DP-LD")
+
+    def call():
+        return execute_pattern(spark, events, planned, measured=measured)[1].n_matches
+
+    first, jobs = _in_group(spark, "clustered-first", call)
+    held = join_engine._clustered_stream
+    leaves = dict(held.leaves)
+    assert held.events is events
+    assert len(jobs) == len(planned)
+    assert _stages_run(spark, jobs[0]) == 2  # the copy's fill, then the plan
+
+    second, jobs = _in_group(spark, "clustered-second", call)
+    assert second == first
+    assert join_engine._clustered_stream is held
+    assert held.leaves.keys() == leaves.keys()
+    assert all(held.leaves[k] is df for k, df in leaves.items())
+    assert len(jobs) == len(planned)
+    assert [_stages_run(spark, j) for j in jobs] == [1] * len(planned)
+
+
+def test_new_stream_unpersists_the_old_copy(spark):
+    streams = [_fresh_stream(spark, seed) for seed in (62, 63)]
+    _, planned = _plan_case(streams[0][1], "test", "sequence", 3, 40, "DP-LD")
+    copies = []
+    for events, _, measured in streams:
+        execute_pattern(spark, events, planned, measured=measured)
+        copies.append(join_engine._clustered_stream.copy)
+    old, new = copies
+    assert old.storageLevel == StorageLevel.NONE
+    assert new.is_cached and new.storageLevel != StorageLevel.NONE

@@ -6,8 +6,8 @@ runs as one order plan and one tree plan. Two more patterns carry a
 declared predicate on a negated position. The join engine is checked
 against DuckDB (``tests/cep_sql.py``) and the event engine against the
 join engine. The stream is tiny and every engine's matches are collected
-in one Spark action, so the Spark work is one ``count()`` per plan plus
-two collects.
+in one Spark action, so the Spark work is one action per plan plus two
+collects.
 """
 from dataclasses import replace
 

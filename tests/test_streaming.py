@@ -8,6 +8,8 @@ import pandas as pd
 import pytest
 from pyspark.sql.streaming import StreamingQueryListener
 
+from repro.cep import join_engine
+from repro.cep.join_engine import execute_planned
 from repro.cep.streaming import execute_streaming, stage_stream
 from repro.core.pattern import Predicate, conj, seq
 from repro.core.planner import plan_simple
@@ -100,6 +102,23 @@ class TestStreaming:
         a = execute_streaming(spark, triv, staged)
         b = execute_streaming(spark, opt, staged)
         pd.testing.assert_frame_equal(_canon(a), _canon(b))
+
+    def test_batch_engine_agrees_and_keeps_its_copy(self, spark, events_pdf, staged):
+        """A tree plan finds the batch engine's matches on Structured
+        Streaming, and its streaming input never replaces the batch
+        engine's clustered copy of a stream."""
+        st = estimate(events_pdf, CFG.duration, seed=0)
+        p = seq(("S00", "S01", "S02"), (), CFG.window)
+        pp = plan_simple(p, st.rates_for(p.types), "DP-B")
+        batch = execute_planned(spark, spark.createDataFrame(events_pdf), pp)
+        held = join_engine._clustered_stream
+        got = execute_streaming(spark, pp, staged)
+        assert join_engine._clustered_stream is held
+        assert held.copy.is_cached
+        assert batch.metrics.n_matches == len(got) > 0
+        pd.testing.assert_frame_equal(
+            _canon(got), _canon(batch.matches.toPandas()), check_dtype=False
+        )
 
     def test_conjunction(self, spark, events_pdf, staged):
         st = estimate(events_pdf, CFG.duration, seed=0)
