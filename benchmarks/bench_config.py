@@ -2,11 +2,11 @@
 
 Benchmark scale ≈ "SF 0.1" of the paper's setup: a denser stream than the
 unit tests (so plan quality dominates wall-clock) but small enough that
-the full suite finishes in minutes. The ``jobs/`` entrypoints run the same
+the full suite finishes in minutes. ``jobs/run.py`` runs the same
 harnesses at larger scale.
 """
-from repro.experiments.report import save_table
-from repro.experiments.tables import ExperimentConfig, table4
+from repro.experiments.report import JOB_TABLES, save_table
+from repro.experiments.tables import ExperimentConfig
 from repro.streams.stock import StreamConfig
 
 BENCH_STREAM = StreamConfig(
@@ -28,13 +28,13 @@ def bench_config(**overrides) -> ExperimentConfig:
 
 def bench_table(benchmark, title: str, table, spark, cfg: ExperimentConfig, **kwargs):
     """Time one run of ``table``, print it under ``title`` and return its
-    result. Every table but Table 4 is saved under ``results/``; that file
-    comes from ``jobs/table4_large_plans.py`` at paper scale."""
+    result. Saves it under ``results/`` unless that file is the job's
+    (``report.JOB_TABLES``, written by ``jobs/run.py`` at paper scale)."""
     result, text = benchmark.pedantic(
         table, args=(spark, cfg), kwargs=kwargs, rounds=1, iterations=1
     )
     print(f"\n{title}")
     print(text)
-    if table is not table4:
+    if table.__name__ not in JOB_TABLES:
         save_table(table.__name__, text)
     return result

@@ -1,7 +1,7 @@
 """Benchmark T4 — paper Fig 17: plan quality & generation time for large n.
 
 Prints its table without saving it: ``results/table4.txt`` comes from
-``jobs/table4_large_plans.py`` at paper scale.
+``jobs/run.py table4`` at paper scale (``report.JOB_TABLES``).
 """
 import pytest
 

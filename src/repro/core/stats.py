@@ -62,7 +62,9 @@ class PatternStats:
     temporal_mode:
         ``"exact"`` (1/k! subset factor: all planning positions are
         mutually temporally ordered, a SEQ of two or more), ``"pairwise"``
-        (temporal predicates already folded into ``sel``) or ``"none"``.
+        (temporal predicates already folded into ``sel``) or ``"none"`` (no
+        temporal order: an AND, or a pattern of fewer than two positive
+        positions; a SEQ of two or more rejects it).
     positions:
         For each planning position, the index in the original pattern
         (positive positions only, in pattern order).
@@ -93,6 +95,11 @@ class PatternStats:
         if temporal_mode not in ("exact", "pairwise", "none"):
             raise ValueError(f"unknown temporal_mode {temporal_mode!r}")
         pos = pattern.positive()
+        if temporal_mode == "none" and pattern.op is Op.SEQ and len(pos) > 1:
+            raise ValueError(
+                "temporal_mode 'none' would plan a SEQ of two or more positive "
+                "positions as unordered; use 'exact' or 'pairwise'"
+            )
         missing = sorted({pattern.types[i] for i in pos} - rates.keys())
         if missing:
             raise ValueError(f"no rate for pattern type(s): {', '.join(missing)}")

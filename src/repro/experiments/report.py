@@ -6,6 +6,12 @@ from typing import Any
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
 
+# The one statement of which runner writes each ``results/<table>.txt``:
+# ``jobs/run.py`` writes these tables' files at paper scale, and
+# ``pytest benchmarks/`` (``bench_config.bench_table``) writes every other
+# table's. Each runner saves only the files it owns.
+JOB_TABLES = frozenset({"table4"})
+
 
 def format_table(rows: list[dict[str, Any]], columns: list[str] | None = None) -> str:
     """Fixed-width text table; floats rendered with 4 significant digits."""

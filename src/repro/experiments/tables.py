@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cep.event_engine import run_metrics
@@ -227,8 +228,10 @@ def table3(spark: SparkSession, cfg: ExperimentConfig):
     mem = np.array([max(r["memory"], 1) for r in rows])
 
     def spearman(a, b):
-        ra = np.argsort(np.argsort(a)).astype(float)
-        rb = np.argsort(np.argsort(b)).astype(float)
+        # Average ranks: tied costs (planners that return one plan) share
+        # a rank, so the coefficient does not depend on the row order.
+        ra = pd.Series(a).rank().to_numpy()
+        rb = pd.Series(b).rank().to_numpy()
         ra -= ra.mean()
         rb -= rb.mean()
         denom = np.sqrt((ra**2).sum() * (rb**2).sum())

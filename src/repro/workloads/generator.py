@@ -69,6 +69,11 @@ def make_pattern(
         raise ValueError(f"unknown category {category!r}")
     if size < 2 or (category in ("negation", "disjunction") and size < 3):
         raise ValueError(f"size {size} too small for category {category!r}")
+    if size > len(stats.rates):
+        raise ValueError(
+            f"a {category!r} pattern of size {size} needs {size} distinct symbols; "
+            f"the stream has {len(stats.rates)}"
+        )
     # str hash is process-salted; use the category index for determinism.
     g = np.random.default_rng(CATEGORIES.index(category) * 100_003 + seed)
     if category == "sequence":

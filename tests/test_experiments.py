@@ -135,6 +135,27 @@ class TestTables:
         assert all(r["cost"] > 0 for r in rows)
         assert result["summary"]["n_plans"] == len(rows)
 
+    def test_table3_spearman_ignores_row_order(self, monkeypatch):
+        # Three planners return one plan (tied costs): average ranks give
+        # both coefficients independently of the row order.
+        rows = [
+            {"algorithm": a, "kind": "order", "size": 3, "raw_cost": c,
+             "throughput": t, "memory": m}
+            for a, c, t, m in [
+                ("DP-LD", 1.0, 5.0, 10), ("II-GREEDY", 1.0, 4.0, 20),
+                ("II-RANDOM", 1.0, 3.0, 30), ("GREEDY", 2.0, 2.0, 40),
+                ("TRIVIAL", 3.0, 1.0, 50),
+            ]
+        ]
+        monkeypatch.setattr(tables, "_join_rows", lambda spark, cfg: list(rows))
+        forward = table3(None, TINY)[0]["summary"]
+        rows.reverse()
+        backward = table3(None, TINY)[0]["summary"]
+        assert forward["spearman_cost_vs_memory"] == pytest.approx(8 / 80**0.5)
+        assert forward["spearman_cost_vs_throughput"] == pytest.approx(-8 / 80**0.5)
+        for key in ("spearman_cost_vs_memory", "spearman_cost_vs_throughput"):
+            assert backward[key] == pytest.approx(forward[key], abs=1e-12)
+
     def test_table4_planner_only(self):
         rows, _ = table4(None, replace(TINY, sizes=(3, 5), algorithms=FIG17_ALGS))
         by = {(r["size"], r["algorithm"]) for r in rows}

@@ -1,48 +1,61 @@
-"""Smoke tests of the ``jobs/`` entrypoints: each CLI builds the right
-table call, and :func:`jobs._common.run` prints and saves what the table
-returns. No test starts Spark or writes to ``results/``."""
-import importlib
-import sys
+"""Smoke tests of ``jobs/run.py``: every subcommand builds the right table
+call, and :func:`jobs.run.run` prints what the table returns and saves only
+the results files the job owns. No test starts Spark or writes to
+``results/``."""
+from dataclasses import fields
 
 import pytest
 
-from jobs import _common
+from benchmarks import bench_config
+from jobs import run as job
 from repro.experiments import report, tables
+from repro.experiments.tables import ExperimentConfig
+from repro.streams.stock import StreamConfig
 from repro.workloads.generator import CATEGORIES
 
-# Each job's flags, as in the usage line of its docstring.
+
+def expected(n_symbols=20, **fields_):
+    """The config every job shares: seed 0, 3 patterns per size, DP-B up to
+    n = 16, and a stream of 3600 s, W = 60 s, seed 7."""
+    stream = StreamConfig(n_symbols=n_symbols, duration=3600.0, window=60.0, seed=7)
+    return ExperimentConfig(stream=stream, per_size=3, seed=0, dp_b_max_n=16, **fields_)
+
+
+# Each job, by its former script name: its command line (as in the
+# README), its table, the config and the sweep arguments it builds.
 JOBS = {
-    "table1_throughput_memory": (tables.table1, ["--sizes", "3", "4", "5"]),
-    "table2_by_size": (tables.table2, ["--sizes", "3", "4", "5", "6", "7"]),
-    "table3_cost_validation": (tables.table3, []),
-    "table4_large_plans": (tables.table4, ["--sizes", "3", "6", "9", "12", "16", "20", "22"]),
-    "table5_latency": (tables.table5, ["--alphas", "0", "0.5", "1"]),
-    "table6_selection_strategies": (tables.table6, []),
+    "table1_throughput_memory": (
+        ["table1", "--sizes", "3", "4", "5"], tables.table1, expected(sizes=(3, 4, 5)), {},
+    ),
+    "table2_by_size": (
+        ["table2", "--sizes", "3", "4", "5", "6", "7"], tables.table2,
+        expected(sizes=(3, 4, 5, 6, 7), categories=CATEGORIES), {},
+    ),
+    "table3_cost_validation": (
+        ["table3"], tables.table3, expected(categories=("sequence", "conjunction")), {},
+    ),
+    "table4_large_plans": (
+        ["table4", "--sizes", "3", "6", "9", "12", "16", "20", "22"], tables.table4,
+        expected(24, sizes=(3, 6, 9, 12, 16, 20, 22), algorithms=tables.FIG17_ALGS), {},
+    ),
+    "table5_latency": (
+        ["table5", "--alphas", "0", "0.5", "1"], tables.table5,
+        expected(categories=("sequence",), algorithms=tables.JQPG_ALGS),
+        {"alphas": (0.0, 0.5, 1.0)},
+    ),
+    "table6_selection_strategies": (
+        ["table6"], tables.table6, expected(categories=("sequence",)),
+        {"strategies": ("any", "next", "contiguity")},
+    ),
 }
 
 
-@pytest.fixture
-def main_call(monkeypatch):
-    """Run one job's ``main()`` with ``run`` captured; return its arguments."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # jobs prepend "."
-
-    def call(name):
-        module = importlib.import_module(f"jobs.{name}")
-        captured = []
-        monkeypatch.setattr(module, "run", lambda *a, **kw: captured.append((a, kw)))
-        monkeypatch.setattr(sys, "argv", [f"jobs/{name}.py", *JOBS[name][1]])
-        module.main()
-        ((args, kwargs),) = captured
-        return args, kwargs
-
-    return call
-
-
 @pytest.mark.parametrize("name", sorted(JOBS))
-def test_job_runs_its_table(main_call, name):
-    (table_name, table, cfg), kwargs = main_call(name)
+def test_job_runs_its_table(name):
+    argv, want_table, want, want_kwargs = JOBS[name]
+    table_name, table, cfg, kwargs = job.parse(argv)
     assert table_name == name.split("_")[0]
-    assert table is JOBS[name][0]
+    assert table is want_table
     assert cfg.seed == 0 and cfg.per_size == 3 and cfg.dp_b_max_n == 16
     assert (cfg.stream.duration, cfg.stream.window, cfg.stream.seed) == (3600.0, 60.0, 7)
     if name == "table4_large_plans":
@@ -50,39 +63,53 @@ def test_job_runs_its_table(main_call, name):
         assert cfg.stream.n_symbols >= 22 + 2
     else:
         assert cfg.stream.n_symbols == 20
+    for f in fields(ExperimentConfig):
+        assert getattr(cfg, f.name) == getattr(want, f.name), f.name
+    assert kwargs == want_kwargs
 
 
-def test_table4_job_keeps_stream_flags(main_call, monkeypatch):
-    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, [
-        "--sizes", "3", "9", "--n-symbols", "30", "--duration", "600", "--window", "30",
-    ]))
-    stream = main_call("table4_large_plans")[0][2].stream
+def config(*argv):
+    return job.parse(list(argv))[2]
+
+
+def test_table4_job_keeps_stream_flags():
+    stream = config(
+        "table4", "--sizes", "3", "9", "--n-symbols", "30", "--duration", "600", "--window", "30",
+    ).stream
     assert (stream.n_symbols, stream.duration, stream.window) == (30, 600.0, 30.0)
-    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, ["--sizes", "3", "9"]))
-    assert main_call("table4_large_plans")[0][2].stream.n_symbols == 20
+    assert config("table4", "--sizes", "3", "9").stream.n_symbols == 20
 
 
-def test_table4_job_sizes_reach_the_table(main_call, monkeypatch):
-    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, ["--sizes", "3", "9"]))
-    (_, _, cfg), kwargs = main_call("table4_large_plans")
+def test_table4_job_sizes_reach_the_table():
+    _, _, cfg, kwargs = job.parse(["table4", "--sizes", "3", "9"])
     assert cfg.sizes == (3, 9) and kwargs == {}
     assert cfg.algorithms == tables.FIG17_ALGS
-    monkeypatch.setitem(JOBS, "table4_large_plans", (tables.table4, []))
-    cfg = main_call("table4_large_plans")[0][2]
+    cfg = config("table4")
     assert cfg.sizes == (3, 6, 9, 12, 14, 16, 18, 20, 22) and cfg.stream.n_symbols == 24
 
 
-def test_job_configs(main_call):
-    assert main_call("table1_throughput_memory")[0][2].sizes == (3, 4, 5)
-    cfg = main_call("table2_by_size")[0][2]
+def test_job_configs():
+    assert config("table1").sizes == (3, 4, 5)
+    cfg = config("table2", "--sizes", "3", "4", "5", "6", "7")
     assert cfg.sizes == (3, 4, 5, 6, 7) and cfg.categories == CATEGORIES
-    assert main_call("table3_cost_validation")[0][2].categories == ("sequence", "conjunction")
-    (_, _, cfg), kwargs = main_call("table5_latency")
+    assert config("table2", "--categories", "kleene").categories == ("kleene",)
+    assert config("table3").categories == ("sequence", "conjunction")
+    _, _, cfg, kwargs = job.parse(["table5"])
     assert cfg.categories == ("sequence",) and kwargs == {"alphas": (0.0, 0.5, 1.0)}
     assert cfg.algorithms == tables.JQPG_ALGS
-    (_, _, cfg), kwargs = main_call("table6_selection_strategies")
+    _, _, cfg, kwargs = job.parse(["table6"])
     assert cfg.categories == ("sequence",)
     assert kwargs == {"strategies": ("any", "next", "contiguity")}
+    # One symbol rule for every table: the largest size + 2, at least.
+    for name in job.JOBS:
+        assert config(name, "--sizes", "3", "30").stream.n_symbols == 32
+
+
+def test_sweep_flags_belong_to_their_own_table(capsys):
+    for name, flag in [("table1", "--alphas"), ("table5", "--strategies"), ("table6", "--categories")]:
+        with pytest.raises(SystemExit):
+            job.parse([name, flag, "1"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class FakeSession:
@@ -100,28 +127,28 @@ def results_dir(tmp_path, monkeypatch):
 
 def test_run_prints_and_saves(results_dir, monkeypatch, capsys):
     session = FakeSession()
-    monkeypatch.setattr(_common, "build_spark", lambda app: session)
+    monkeypatch.setattr(job, "build_spark", lambda app: session)
     seen = []
 
     def table(spark, cfg, **kwargs):
         seen.append((spark, cfg, kwargs))
         return [], "the table"
 
-    _common.run("tableX", table, "cfg", alphas=(1.0,))
+    job.run("table4", table, "cfg", alphas=(1.0,))
     assert seen == [(session, "cfg", {"alphas": (1.0,)})] and session.stopped
-    assert (results_dir / "tableX.txt").read_text() == "the table\n"
+    assert (results_dir / "table4.txt").read_text() == "the table\n"
     assert capsys.readouterr().out.startswith("the table\nsaved: ")
 
 
 def test_run_stops_session_when_table_raises(results_dir, monkeypatch):
     session = FakeSession()
-    monkeypatch.setattr(_common, "build_spark", lambda app: session)
+    monkeypatch.setattr(job, "build_spark", lambda app: session)
 
     def table(spark, cfg):
         raise RuntimeError("table")
 
     with pytest.raises(RuntimeError, match="table"):
-        _common.run("tableX", table, "cfg")
+        job.run("table4", table, "cfg")
     assert session.stopped and not list(results_dir.iterdir())
 
 
@@ -135,8 +162,37 @@ def test_run_gives_table4_no_session(results_dir, monkeypatch):
         seen.append(spark)
         return [], "t4"
 
-    monkeypatch.setattr(_common, "build_spark", no_spark)
-    monkeypatch.setattr(_common, "table4", table4)
-    _common.run("table4", table4, "cfg")
+    monkeypatch.setattr(job, "build_spark", no_spark)
+    monkeypatch.setattr(job, "table4", table4)
+    job.run("table4", table4, "cfg")
     assert seen == [None]
     assert (results_dir / "table4.txt").read_text() == "t4\n"
+
+
+class FakeBenchmark:
+    def pedantic(self, table, args, kwargs, rounds, iterations):
+        return table(*args, **kwargs)
+
+
+def test_each_results_file_has_one_writer(tmp_path, monkeypatch, capsys):
+    """The job writes Table 4's file and nothing else; ``bench_table``
+    writes every other table's file and not Table 4's."""
+    monkeypatch.setattr(job, "build_spark", lambda app: FakeSession())
+    written = {}
+    for runner in ("job", "bench"):
+        out = tmp_path / runner
+        monkeypatch.setattr(report, "RESULTS_DIR", str(out))
+        for name in job.JOBS:
+            def table(spark, cfg, name=name):
+                return [], f"{runner} {name}"
+
+            table.__name__ = name
+            if runner == "job":
+                job.run(name, table, "cfg")
+            else:
+                bench_config.bench_table(FakeBenchmark(), name, table, None, "cfg")
+            assert f"{runner} {name}\n" in capsys.readouterr().out
+        written[runner] = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert report.JOB_TABLES == {"table4"}
+    assert written["job"] == ["table4.txt"]
+    assert written["bench"] == [f"{n}.txt" for n in sorted(job.JOBS) if n != "table4"]

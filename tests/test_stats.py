@@ -73,6 +73,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             stats_for(disj([seq("AB", window=1.0)]))
 
+    def test_none_mode_rejected_for_an_ordered_sequence(self):
+        # It would plan the SEQ as unordered while the latency term still
+        # reads last_seq_position.
+        with pytest.raises(ValueError, match="SEQ of two or more"):
+            stats_for(seq("ABC"), mode="none")
+        with pytest.raises(ValueError, match="SEQ of two or more"):
+            stats_for(seq("ABCD", negated=(2,)), mode="none")
+        assert stats_for(conj("ABC"), mode="none").temporal_mode == "none"
+        assert stats_for(seq("A"), mode="none").temporal_mode == "none"
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             PatternStats.from_pattern(conj("AB"), RATES, temporal_mode="x")

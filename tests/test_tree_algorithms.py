@@ -86,10 +86,11 @@ def dp_b_scalar(obj):
 
 
 def _symmetric_objectives(n, op):
-    """Equal rates and no predicates, so that many splits tie exactly."""
+    """Equal rates and no predicates, so that many splits tie exactly. A
+    SEQ plans in the exact or pairwise mode, an AND in none."""
     pattern = (seq if op is Op.SEQ else conj)([f"T{i}" for i in range(n)], window=10.0)
     rates = {f"T{i}": 0.5 for i in range(n)}
-    for mode in ("exact", "pairwise", "none"):
+    for mode in ("exact", "pairwise") if op is Op.SEQ else ("none",):
         stats = PatternStats.from_pattern(pattern, rates, temporal_mode=mode)
         for strategy in ("any", "next"):
             for alpha in (0.0, 0.5, 1.0):

@@ -96,6 +96,16 @@ class TestMakePattern:
         with pytest.raises(ValueError):
             make_pattern("negation", 2, stats, CFG.window, seed=0)
 
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_too_large_sizes_name_category_size_and_symbols(self, category):
+        cfg = StreamConfig(n_symbols=4, duration=300.0, window=60.0, seed=9)
+        small = estimate(stock_events_pdf(cfg), cfg.duration, seed=0)
+        assert len(small.rates) == 4
+        make_pattern(category, 4, small, cfg.window, seed=0)
+        message = rf"'{category}' pattern of size 6 needs 6 distinct symbols; the stream has 4"
+        with pytest.raises(ValueError, match=message):
+            make_pattern(category, 6, small, cfg.window, seed=0)
+
 
 class TestMakePatternSet:
     def test_shape(self, stats):
